@@ -1,7 +1,7 @@
 # Tier-1 gate plus the race-sensitive packages this repo parallelizes.
 GO ?= go
 
-.PHONY: all build test vet lint race check equiv bench tables chaos netsmoke domsmoke smpsmoke16
+.PHONY: all build test vet lint race check equiv bench tables chaos netsmoke domsmoke smpsmoke16 tcb
 
 all: check
 
@@ -53,12 +53,23 @@ domsmoke:
 # 16-VCPU scaling smoke: boot and dispatch at the lifted VCPU ceiling,
 # then an abbreviated fault campaign (one seed per class) against a
 # 16-VCPU system — all under the race detector, because sixteen sibling
-# VCPUs hammer the sharded metapool write paths and epoch reclamation
+# VCPUs hammer the sharded metapool write paths and last-hit caches
 # concurrently.  Any host escape fails the target.
 smpsmoke16:
 	$(GO) test -race -run 'TestSMPDispatch|TestSMPSmoke16' ./internal/kernel/ ./internal/faultinject/campaign/
 
 check: build lint test equiv race netsmoke domsmoke smpsmoke16
+
+# Trusted-computing-base size: non-test Go lines of the packages the
+# safety guarantees rest on (the SVM, the run-time checks, the
+# bytecode type checker, the SVA-OS operations and the modeled
+# hardware).  Informational: it prints, it never fails.
+TCB_PKGS = vm metapool typecheck svaos hw
+tcb:
+	@total=0; for p in $(TCB_PKGS); do \
+		n=$$(cat $$(ls internal/$$p/*.go | grep -v '_test\.go$$') | wc -l); \
+		printf '%-10s %6d\n' $$p $$n; total=$$((total + n)); \
+	done; printf '%-10s %6d\n' total $$total
 
 # Fixed-seed fault-injection smoke: three classes through sva-run plus a
 # one-seed-per-class campaign table.  Any host escape fails the target.

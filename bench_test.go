@@ -215,20 +215,20 @@ func BenchmarkVerifier_BugInjection(b *testing.B) {
 
 // --- check cache and parallel harness (this PR's optimizations) -------------
 
-// benchPoolCheck drives LoadStoreCheck over a 2-address hot set (the
+// benchPoolCheck drives LoadStoreCheckCPU over a 2-address hot set (the
 // common shape: one buffer plus one metadata object) with the last-hit
 // cache on or off.
 func benchPoolCheck(b *testing.B, noCache bool) {
 	p := metapool.NewPool("bench", false, true, 0)
 	p.NoCache = noCache
 	for i := uint64(0); i < 64; i++ {
-		if err := p.Register(0x1000+i*64, 64, metapool.TagHeap); err != nil {
+		if err := p.RegisterCPU(0, 0x1000+i*64, 64, metapool.TagHeap); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := p.LoadStoreCheck(0x1000 + uint64(i%2)*64 + 8); err != nil {
+		if err := p.LoadStoreCheckCPU(0, 0x1000+uint64(i%2)*64+8); err != nil {
 			b.Fatal(err)
 		}
 	}

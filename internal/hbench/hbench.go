@@ -389,7 +389,7 @@ type SMPPoint struct {
 // MeasureSMP boots a fresh cfg system, parks `tasks` copies of smp_worker
 // (iters iterations each) and dispatches them across n virtual CPUs.  A
 // fresh system per cell keeps cells independent: no recycled stacks, pids
-// or page-map state leak between CPU counts.
+// or metapool state leak between CPU counts.
 func MeasureSMP(cfg vm.Config, n, tasks int, iters uint64) (SMPPoint, error) {
 	u := BuildBenchModule()
 	sys, err := kernel.NewSystem(cfg, true, u.M)

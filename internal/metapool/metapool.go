@@ -6,23 +6,22 @@
 // checks — plus object registration/deregistration (pchk.reg.obj /
 // pchk.drop.obj).
 //
-// Lookup fast path: a two-level shadow page map (pagemap.go) resolves the
-// common cases in O(1) without touching any tree; the splay trees are the
-// slow path for pages shared by several objects and the oracle the
-// equivalence tests compare against.
+// Lookup path: each VCPU's last-hit cache, then the splay tree of the
+// address's region shard, then — only while an object spanning regions
+// exists — the wide tree.  The splay trees are the paper's structure and
+// the only store of record; the cache holds copies of positive answers and
+// is invalidated by generation whenever an object leaves the set.
 //
 // Concurrency: pools are shared by every virtual CPU of an SMP guest.
-// Page-map reads are lock-free (entries retired through epoch-based
-// reclamation, epoch.go); per-VCPU statistics shards, last-hit caches and
-// pending caches are owner-written.  The write path is sharded by address
-// region (shard.go): registrations are absorbed on per-CPU pending caches
-// (pending.go) or inserted into per-region splay trees under per-shard
-// locks, with a brlock gate arbitrating the rare wide-object operations.
-// Checks deliberately run unserialized against registration: a guest that
-// races an access against a free gets a racy verdict, exactly as it would
-// on SMP hardware; a guest whose accesses are ordered by its own locks
-// (which the SVM executes with host happens-before edges) always sees the
-// current object set.
+// Per-VCPU statistics and last-hit caches are owner-written.  The write
+// path is sharded by address region (shard.go): registrations and drops
+// take one region shard's lock under their CPU's slot of a brlock gate,
+// and the rare wide-object operations take the gate exclusively.  Checks
+// deliberately run unserialized against registration: a guest that races
+// an access against a free gets a racy verdict, exactly as it would on SMP
+// hardware; a guest whose accesses are ordered by its own locks (which the
+// SVM executes with host happens-before edges) always sees the current
+// object set.
 package metapool
 
 import (
@@ -97,13 +96,21 @@ func (v *Violation) Error() string {
 type Stats = telemetry.CheckStats
 
 // hitCache is one VCPU's last-hit cache: the most recently found objects,
-// most recent first.  Each cache is written only by its owning VCPU;
-// invalidation is by generation — a mutation of the object set bumps the
-// pool epoch, and a cache whose recorded epoch is stale starts empty.
+// most recent first.  Invalidation is by generation — a removal from the
+// object set bumps the pool epoch, and a cache whose recorded epoch is
+// stale starts empty.
 type hitCache struct {
 	epoch uint64
 	n     int
 	r     [2]splay.Range
+}
+
+// perCPU is one VCPU's private pool state: its statistics shard and its
+// last-hit cache.  Only the owning VCPU writes it; snapshots merge the
+// statistics of every VCPU.
+type perCPU struct {
+	st    Stats
+	cache hitCache
 }
 
 // Pool is one run-time metapool.
@@ -121,10 +128,9 @@ type Pool struct {
 
 	// obj holds the narrow objects, sharded by address region (shard.go).
 	obj [numShards]objShard
-	// wide is the tree of objects spanning regions or lying outside
-	// page-map coverage; wideCount lets the narrow paths skip wideMu
-	// entirely while no such object exists (the overwhelmingly common
-	// case — every real guest allocation is narrow).
+	// wide is the tree of objects spanning regions; wideCount lets the
+	// narrow paths skip wideMu entirely while no such object exists (the
+	// overwhelmingly common case — every real guest allocation is narrow).
 	wideMu    sync.Mutex
 	wide      splay.Tree
 	wideCount atomic.Uint64
@@ -133,50 +139,16 @@ type Pool struct {
 	// operations; the lookup path never touches it.
 	gate brGate
 
-	// Epoch-based reclamation state for recycled page entries (epoch.go).
-	era        atomic.Uint64
-	ebrR, ebrW [gateSlots]ebrSlot
-
-	// pm is the O(1) shadow page map in front of the trees; unmapped
-	// counts objects it cannot represent (while nonzero, a page-map miss
-	// is not definitive).  epoch is the object-set generation used to
-	// invalidate the per-VCPU last-hit caches.
-	pm       pageMap
-	unmapped atomic.Uint64
-	epoch    atomic.Uint64
-	// NoPageMap disables the page-map fast path, forcing every lookup
-	// through the last-hit cache and splay trees (the splay-only
-	// configuration the equivalence property test and the lookup
-	// microbenchmark compare against).  It also disables the pending
-	// caches, whose invariants lean on page-map bookkeeping.
-	NoPageMap bool
-
-	// cache0 is VCPU 0's last-hit cache (always present, so single-CPU
-	// pools allocate nothing extra); caches holds one per VCPU once
-	// setVCPUs ran.
-	cache0 hitCache
-	caches []*hitCache
-	// NoCache disables the last-hit cache, forcing every slow-path lookup
-	// through the splay trees (used to benchmark the uncached path).
+	// epoch is the object-set generation that invalidates the per-VCPU
+	// last-hit caches.
+	epoch atomic.Uint64
+	// cpus holds one private state block per VCPU; cpus[0] always exists
+	// and also absorbs out-of-range CPU numbers.
+	cpus []*perCPU
+	// NoCache disables the last-hit cache, forcing every lookup through
+	// the splay trees (the cache's differential oracle and the uncached
+	// benchmark configuration).
 	NoCache bool
-
-	// pend0 is VCPU 0's pending cache (pending.go); pends holds one per
-	// VCPU.  NoPend disables absorption (every registration goes through
-	// the shard trees), used by tests that pin exact tree traffic.
-	pend0  pendCache
-	pends  []*pendCache
-	NoPend bool
-	// pendRegion counts pended entries by address-region bucket across all
-	// caches (pending.go): the lock-free gate that lets lookups call a
-	// page-map miss definitive and lets an absorb skip every other cache.
-	pendRegion [pendBuckets]pendCounter
-
-	// SingleLock serializes every write-path operation on one mutex and
-	// disables absorption — a faithful stand-in for the pre-sharding
-	// write path, kept so the concurrent-registration microbenchmark can
-	// measure the sharded paths against the seed behavior.
-	SingleLock bool
-	slmu       sync.Mutex
 
 	// trace, when set, receives pool lifecycle events (cold paths only:
 	// registration conflicts and Reset — never the check hot path).
@@ -184,14 +156,12 @@ type Pool struct {
 	trace   *telemetry.Trace
 	traceMu sync.Mutex
 
-	// chaos, when set, is the fault injector consulted on splay lookups
-	// (ClassSplay corrupts a node's metadata in place).  nil in production;
-	// the hook costs one pointer compare.  While armed, every lookup takes
-	// the slow path: in-place node corruption bypasses the page map, so
-	// the page map must not answer for a possibly-diverged tree.
+	// chaos, when set, is the fault injector consulted on every lookup
+	// (ClassSplay corrupts a node's metadata in place).  nil in
+	// production; the hook costs one pointer compare.
 	chaos *faultinject.Injector
 	// maxObj is the largest object length ever registered: the redundancy
-	// that lets the slow path recognize grow-corruptions of a splay node.
+	// that lets a lookup recognize grow-corruptions of a splay node.
 	maxObj atomic.Uint64
 	// quarantined is set once check metadata fails validation; from then
 	// on every check fails closed with a MetadataCorruption violation.
@@ -202,71 +172,41 @@ type Pool struct {
 	userLo, userHi uint64
 	hasUser        bool
 
-	// Cold write-path counters with no single owning VCPU, folded into
-	// mergedStats: batched counts sva.pool.regbatch calls, eraReclaimed
-	// counts epoch reclaim passes.  (Absorbed/Spilled are per-VCPU Stats
-	// fields: they are hot enough that a shared atomic would put one
-	// contended RMW on every absorbed registration.)
-	batched      atomic.Uint64
-	eraReclaimed atomic.Uint64
-
-	// Stats is VCPU 0's statistics shard (and the only one before
-	// setVCPUs); shards holds one per VCPU.  Each shard is written only
-	// by its owning VCPU; snapshots merge them.
-	Stats  Stats
-	shards []*Stats
+	// batched counts sva.pool.regbatch calls (a cold write-path counter
+	// with no single owning VCPU, folded into mergedStats).
+	batched atomic.Uint64
 }
 
 // NewPool creates a metapool.
 func NewPool(name string, typeHomogeneous, complete bool, elemSize uint64) *Pool {
-	p := &Pool{Name: name, TypeHomogeneous: typeHomogeneous, Complete: complete, ElemSize: elemSize}
-	p.pends = []*pendCache{&p.pend0}
-	p.era.Store(1) // 0 is the "idle" EBR slot value
-	return p
+	return &Pool{Name: name, TypeHomogeneous: typeHomogeneous, Complete: complete,
+		ElemSize: elemSize, cpus: []*perCPU{{}}}
 }
 
-// setVCPUs sizes the per-VCPU statistics shards, last-hit caches and
-// pending caches.  Must be called before the VCPUs start running.
+// setVCPUs sizes the per-VCPU state.  Must be called before the VCPUs
+// start running.
 func (p *Pool) setVCPUs(n int) {
-	for len(p.shards) < n {
-		if len(p.shards) == 0 {
-			p.shards = append(p.shards, &p.Stats)
-			p.caches = append(p.caches, &p.cache0)
-			continue
-		}
-		p.shards = append(p.shards, &Stats{})
-		p.caches = append(p.caches, &hitCache{})
-	}
-	for len(p.pends) < n {
-		p.pends = append(p.pends, &pendCache{})
+	for len(p.cpus) < n {
+		p.cpus = append(p.cpus, &perCPU{})
 	}
 }
 
-// stats returns cpu's statistics shard (VCPU 0 is the embedded Stats).
-func (p *Pool) stats(cpu int) *Stats {
-	if cpu > 0 && cpu < len(p.shards) {
-		return p.shards[cpu]
+// cpu returns cpu's private state (VCPU 0's for out-of-range numbers).
+func (p *Pool) cpu(cpu int) *perCPU {
+	if uint(cpu) < uint(len(p.cpus)) {
+		return p.cpus[cpu]
 	}
-	return &p.Stats
-}
-
-// cache returns cpu's last-hit cache.
-func (p *Pool) cache(cpu int) *hitCache {
-	if cpu > 0 && cpu < len(p.caches) {
-		return p.caches[cpu]
-	}
-	return &p.cache0
+	return p.cpus[0]
 }
 
 // mergedStats sums the per-VCPU shards plus the pool-level write-path
 // counters into one view of the pool.
 func (p *Pool) mergedStats() Stats {
-	s := p.Stats
-	for i := 1; i < len(p.shards); i++ {
-		s.Add(*p.shards[i])
+	var s Stats
+	for _, c := range p.cpus {
+		s.Add(c.st)
 	}
 	s.Batched += p.batched.Load()
-	s.EpochReclaims += p.eraReclaimed.Load()
 	return s
 }
 
@@ -287,145 +227,93 @@ func (p *Pool) userRange(addr uint64) (splay.Range, bool) {
 	return splay.Range{}, false
 }
 
-// find looks up the object containing addr on behalf of VCPU 0.  Under
-// SMP this attributes the lookup to VCPU 0's shard regardless of the
-// calling VCPU; see the per-CPU attribution note on Register.
-func (p *Pool) find(addr uint64) (splay.Range, bool) { return p.findCPU(0, addr) }
-
-// findCPU looks up the object containing addr.  The page map answers the
-// common cases in O(1) without locks (under an epoch pin, so a concurrent
-// drop cannot recycle the entry mid-read); everything else goes through
-// cpu's last-hit cache, the pending caches, and the splay trees.
+// findCPU looks up the object containing addr: cpu's last-hit cache, then
+// the trees.  CacheHits counts lookups the cache answered; CacheMisses
+// counts lookups that paid for a tree descent.
 func (p *Pool) findCPU(cpu int, addr uint64) (splay.Range, bool) {
 	if p.quarantined.Load() {
 		return splay.Range{}, false // fail closed: metadata is untrusted
 	}
-	if p.chaos == nil && !p.NoPageMap {
-		st := p.stats(cpu)
-		s := p.pinR(cpu)
-		r, v := p.pm.lookup(addr)
-		s.e.Store(0) // r is a copy; the entry is no longer referenced
-		switch v {
-		case pmHit, pmMiss:
-			if v == pmHit && r.Contains(addr) {
-				st.PageHits++
-				return r, true
-			}
-			// The page holds no object containing addr.  With no unmapped
-			// objects that verdict is complete for the trees, so only the
-			// pending caches can still answer — no tree visit either way.
-			if p.unmapped.Load() != 0 {
-				break // unmapped objects: only the slow path knows
-			}
-			if !p.pendMayContain(addr) {
-				st.PageHits++
-				return splay.Range{}, false
-			}
-			c := p.cache(cpu)
-			if cr, ok := p.cacheLookup(c, st, addr); ok {
-				return cr, true
-			}
-			if pr, ok := p.findInPends(cpu, addr); ok {
-				st.PendHits++
-				p.cacheInsert(c, pr)
-				return pr, true
-			}
-			st.PageHits++ // the page map's verdict stood
-			return splay.Range{}, false
-		}
-	}
-	return p.findSlow(cpu, addr)
-}
-
-// findSlow is the tree path: overflow pages, unmapped or pended objects,
-// the NoPageMap configuration, and every lookup while fault injection is
-// armed.  CacheHits counts lookups the last-hit cache absorbed; PendHits
-// counts lookups answered by a pending cache; CacheMisses counts lookups
-// that reached a tree (PageHits, above, counts lookups the page map
-// answered before any of them).
-func (p *Pool) findSlow(cpu int, addr uint64) (splay.Range, bool) {
-	st := p.stats(cpu)
 	if p.chaos != nil {
-		p.chaosPrep(st)
+		p.chaosPrep()
 	}
-	c := p.cache(cpu)
-	if r, ok := p.cacheLookup(c, st, addr); ok {
+	c := p.cpu(cpu)
+	if r, ok := p.cacheLookup(c, addr); ok {
 		return r, true
 	}
-	if r, ok := p.findInPends(cpu, addr); ok {
-		st.PendHits++
-		p.cacheInsert(c, r)
-		return r, true
-	}
-	st.CacheMisses++ // this lookup pays for a tree descent
-	sh := &p.obj[shardIndex(addr)]
-	sh.mu.Lock()
-	r, ok := sh.tree.Find(addr)
-	bad := ok && !p.rangeValid(r)
-	if bad {
-		// The checker's own metadata is damaged.  Fail closed: quarantine
-		// the pool rather than answer checks from corrupt state.  The
-		// validity filter runs under the same shard lock as the find, so
-		// a concurrent Reset (which clears trees before zeroing maxObj)
-		// can never induce a spurious quarantine.
-		p.quarantine(r)
-	}
-	sh.mu.Unlock()
-	if bad {
-		return splay.Range{}, false
-	}
-	if !ok && p.wideCount.Load() != 0 {
-		p.wideMu.Lock()
-		r, ok = p.wide.Find(addr)
-		bad = ok && !p.rangeValid(r)
-		if bad {
-			p.quarantine(r)
-		}
-		p.wideMu.Unlock()
-		if bad {
-			return splay.Range{}, false
-		}
-	}
+	c.st.CacheMisses++
+	r, ok := p.treeFind(addr, true)
 	if ok {
 		p.cacheInsert(c, r)
 	}
 	return r, ok
 }
 
-// cacheLookup consults cpu's last-hit cache (epoch-checked, move-to-front),
-// counting a CacheHit on success.  Misses are not counted here: the lookup
-// counters are disjoint — each lookup lands in exactly one of PageHits,
-// CacheHits, PendHits, or CacheMisses (the tree-path count) — so the
-// caller charges whichever structure finally answers.  A no-op returning
-// false when the cache is disabled.
-func (p *Pool) cacheLookup(c *hitCache, st *Stats, addr uint64) (splay.Range, bool) {
+// treeFind looks addr up in its region shard's tree and, while wide
+// objects exist, in the wide tree.  With validate, a range failing
+// rangeValid quarantines the pool and reads as a miss.
+func (p *Pool) treeFind(addr uint64, validate bool) (splay.Range, bool) {
+	sh := &p.obj[shardIndex(addr)]
+	sh.mu.Lock()
+	r, ok := p.findIn(&sh.tree, addr, validate)
+	sh.mu.Unlock()
+	if ok || p.wideCount.Load() == 0 || validate && p.quarantined.Load() {
+		return r, ok
+	}
+	p.wideMu.Lock()
+	r, ok = p.findIn(&p.wide, addr, validate)
+	p.wideMu.Unlock()
+	return r, ok
+}
+
+// findIn runs one tree's Find; caller holds the tree's lock.  The validity
+// filter runs under that same lock, so a concurrent Reset (which clears
+// trees before zeroing maxObj) can never induce a spurious quarantine.
+func (p *Pool) findIn(t *splay.Tree, addr uint64, validate bool) (splay.Range, bool) {
+	r, ok := t.Find(addr)
+	if ok && validate && !p.rangeValid(r) {
+		// The checker's own metadata is damaged.  Fail closed: quarantine
+		// the pool rather than answer checks from corrupt state.
+		p.quarantine(r)
+		return splay.Range{}, false
+	}
+	return r, ok
+}
+
+// cacheLookup consults c's last-hit cache (epoch-checked, move-to-front),
+// counting a CacheHit on success.  A no-op returning false when the cache
+// is disabled.
+func (p *Pool) cacheLookup(c *perCPU, addr uint64) (splay.Range, bool) {
 	if p.NoCache {
 		return splay.Range{}, false
 	}
-	if e := p.epoch.Load(); c.epoch != e {
-		c.epoch, c.n = e, 0
+	h := &c.cache
+	if e := p.epoch.Load(); h.epoch != e {
+		h.epoch, h.n = e, 0
 	}
-	for i := 0; i < c.n; i++ {
-		if c.r[i].Contains(addr) {
-			st.CacheHits++
+	for i := 0; i < h.n; i++ {
+		if h.r[i].Contains(addr) {
+			c.st.CacheHits++
 			if i != 0 {
-				c.r[0], c.r[i] = c.r[i], c.r[0]
+				h.r[0], h.r[i] = h.r[i], h.r[0]
 			}
-			return c.r[0], true
+			return h.r[0], true
 		}
 	}
 	return splay.Range{}, false
 }
 
-// cacheInsert move-to-front inserts r into c; the oldest entry falls off.
-func (p *Pool) cacheInsert(c *hitCache, r splay.Range) {
+// cacheInsert move-to-front inserts r into c's cache; the oldest entry
+// falls off.
+func (p *Pool) cacheInsert(c *perCPU, r splay.Range) {
 	if p.NoCache {
 		return
 	}
-	c.r[1] = c.r[0]
-	c.r[0] = r
-	if c.n < len(c.r) {
-		c.n++
+	h := &c.cache
+	h.r[1] = h.r[0]
+	h.r[0] = r
+	if h.n < len(h.r) {
+		h.n++
 	}
 }
 
@@ -467,12 +355,11 @@ func (p *Pool) corruptionErr(st *Stats, addr uint64) error {
 }
 
 // chaosPrep runs before every lookup while fault injection is armed: it
-// drains the pending caches (the injector must see — and may corrupt —
-// the complete object set) and rolls the injection dice.  Exclusive gate:
-// chaos runs are cold by construction.
-func (p *Pool) chaosPrep(st *Stats) {
+// rolls the injection dice under the exclusive gate, so no mutator changes
+// tree membership while a victim is picked.  Chaos runs are cold by
+// construction.
+func (p *Pool) chaosPrep() {
 	p.gate.lockAll()
-	p.drainPends(st)
 	if p.chaos.Should(faultinject.ClassSplay) {
 		p.corruptNode()
 	}
@@ -484,8 +371,8 @@ func (p *Pool) chaosPrep(st *Stats) {
 // state.  All three modes are fail-closed under rangeValid / lookup-miss
 // semantics — the point of the campaign is proving that.  Caller holds the
 // gate exclusively; the victim is picked uniformly across every shard tree
-// plus the wide tree (concurrent slow-path readers may reshape a tree but
-// cannot change membership, so the in-order rank is stable).
+// plus the wide tree (concurrent readers may reshape a tree but cannot
+// change membership, so the in-order rank is stable).
 func (p *Pool) corruptNode() {
 	var lens [numShards + 1]int
 	total := 0
@@ -546,20 +433,20 @@ func (p *Pool) corruptNode() {
 
 // invalidate bumps the object-set epoch, emptying every VCPU's last-hit
 // cache at its next lookup.  Called AFTER every removal from the object
-// set (Drop, stale-stack eviction, node corruption, Reset) — a cached
+// set (drop, stale-stack eviction, node corruption, Reset) — a cached
 // range may be the one just removed.  Registrations never invalidate: the
 // caches hold only positive hits, and adding an object cannot stale a
 // positive.
 //
-// The bump must follow the removal in program order.  A slow-path reader
-// locks only the owning shard: it loads the epoch, finds the object, and
-// caches it after unlocking.  If it found the object, its tree read
-// preceded the removal, so its epoch load preceded the post-removal bump
-// and its cache entry carries the pre-bump epoch — dead on arrival.
-// Bumping BEFORE the removal leaves a window where a racing reader caches
-// the doomed object under the new epoch and then serves it indefinitely,
-// turning one racy lookup into wrong verdicts for later accesses the
-// guest properly ordered after the free.
+// The bump must follow the removal in program order.  A reader locks only
+// the owning shard: it loads the epoch, finds the object, and caches it
+// after unlocking.  If it found the object, its tree read preceded the
+// removal, so its epoch load preceded the post-removal bump and its cache
+// entry carries the pre-bump epoch — dead on arrival.  Bumping BEFORE the
+// removal leaves a window where a racing reader caches the doomed object
+// under the new epoch and then serves it indefinitely, turning one racy
+// lookup into wrong verdicts for later accesses the guest properly ordered
+// after the free.
 func (p *Pool) invalidate() { p.epoch.Add(1) }
 
 // growMaxObj raises the largest-ever-object watermark to at least n.
@@ -578,69 +465,32 @@ const (
 	TagStack = 1
 )
 
-// RegisterStack records a stack object (VCPU 0).
-func (p *Pool) RegisterStack(addr, size uint64) error {
-	return p.RegisterStackCPU(0, addr, size)
-}
-
-// RegisterStackCPU records a stack object.  A conflicting *stale stack*
-// registration — left behind when a task died without unwinding its kernel
-// frames — is evicted first: its frame is gone, so the registration cannot
-// correspond to a live object.  Conflicts with non-stack objects are real
-// violations.  Stack objects never use the pending caches: the eviction
-// protocol wants one coherent view of prior frames.
+// RegisterStackCPU records a stack object.  Conflicting *stale stack*
+// registrations — left behind when a task died without unwinding its kernel
+// frames — are evicted first (each counted in Dropped): their frames are
+// gone, so the registrations cannot correspond to live objects.  Eviction
+// is all-or-nothing: if any overlapping object is not a stack frame, the
+// registration is a real violation and nothing is evicted.
 func (p *Pool) RegisterStackCPU(cpu int, addr, size uint64) error {
 	if size == 0 {
 		return nil
 	}
-	if p.SingleLock {
-		p.slmu.Lock()
-		defer p.slmu.Unlock()
-	}
-	return p.registerSlow(cpu, splay.Range{Start: addr, Len: size, Tag: TagStack}, true)
-}
-
-// Register records a new object [addr, addr+size) on behalf of VCPU 0.
-//
-// Per-CPU attribution note: this legacy wrapper (and Drop, find,
-// NoteElidedBounds, NoteElidedLS, Contains) charges VCPU 0's statistics
-// shard no matter which host thread calls it.  The SMP kernel paths all
-// use the *CPU variants; callers without a VCPU identity are by definition
-// single-threaded setup/teardown code, so the skew is confined to shard 0
-// and merged snapshots (mergedStats) are exact either way — the
-// TestPerCPUStatsMerge regression pins that.
-//
-// Concurrency restriction: the legacy wrappers all share VCPU 0's epoch
-// slot, whose reclamation safety assumes one concurrent user per slot.
-// Calling them from two host threads at once — or from one host thread
-// while VCPU 0 is running — is a misuse that pin (epoch.go) detects and
-// panics on rather than risking a use-after-reclaim.
-func (p *Pool) Register(addr, size uint64, tag uint32) error {
-	return p.RegisterCPU(0, addr, size, tag)
+	return p.register(cpu, splay.Range{Start: addr, Len: size, Tag: TagStack}, true)
 }
 
 // RegisterCPU records a new object [addr, addr+size) (pchk.reg.obj).
-// Fast path: absorb into cpu's pending cache (pending.go); otherwise the
-// sharded classic path.
 func (p *Pool) RegisterCPU(cpu int, addr, size uint64, tag uint32) error {
 	if size == 0 {
 		return nil // zero-sized allocations register nothing
 	}
-	if p.SingleLock {
-		p.slmu.Lock()
-		defer p.slmu.Unlock()
-	}
-	rg := splay.Range{Start: addr, Len: size, Tag: tag}
-	if p.tryAbsorb(cpu, rg) {
-		return nil
-	}
-	return p.registerSlow(cpu, rg, false)
+	return p.register(cpu, splay.Range{Start: addr, Len: size, Tag: tag}, false)
 }
 
-// registerSlow is the shared-structure registration path.  stack selects
+// register inserts rg: narrow objects under cpu's gate slot into their
+// region shard, everything else under the exclusive gate.  stack selects
 // the stale-stack eviction protocol (RegisterStackCPU).
-func (p *Pool) registerSlow(cpu int, rg splay.Range, stack bool) error {
-	st := p.stats(cpu)
+func (p *Pool) register(cpu int, rg splay.Range, stack bool) error {
+	st := &p.cpu(cpu).st
 	p.growMaxObj(rg.Len)
 	if narrow(rg) {
 		g := p.gate.rlock(cpu)
@@ -649,8 +499,8 @@ func (p *Pool) registerSlow(cpu int, rg splay.Range, stack bool) error {
 		if !retryWide {
 			return err
 		}
-		// The conflicting object is a stale wide stack frame: evicting it
-		// needs the exclusive path.
+		// The conflicting objects include stale wide stack frames:
+		// evicting them needs the exclusive path.
 	}
 	p.gate.lockAll()
 	err := p.registerWide(st, rg, stack)
@@ -658,82 +508,95 @@ func (p *Pool) registerSlow(cpu int, rg splay.Range, stack bool) error {
 	return err
 }
 
+// overlapLimit is how many overlapping objects a registration must see to
+// decide: one proves a heap registration's conflict, while a stack
+// registration needs them all to evict them.
+func overlapLimit(stack bool) int {
+	if stack {
+		return 0 // OverlapRanges: no limit
+	}
+	return 1
+}
+
+// evictable reports whether a registration may evict every object in
+// over: only a stack registration may, and only stale stack frames.
+func evictable(over []splay.Range, stack bool) bool {
+	for _, r := range over {
+		if !stack || r.Tag != TagStack {
+			return false
+		}
+	}
+	return true
+}
+
 // registerNarrow inserts a narrow object under the shared gate: one wide
-// overlap probe (skipped while no wide object exists), a flush of
-// overlapping pended entries, then the owning shard's tree.  Returns
-// retryWide when a stale wide stack frame must be evicted first.
+// overlap probe (skipped while no wide object exists), then the owning
+// shard's tree.  Returns retryWide when stale wide stack frames must be
+// evicted first.
 func (p *Pool) registerNarrow(st *Stats, rg splay.Range, stack bool) (err error, retryWide bool) {
 	if p.wideCount.Load() != 0 {
 		p.wideMu.Lock()
-		over := p.wide.OverlapRanges(rg.Start, rg.Len, 1)
+		over := p.wide.OverlapRanges(rg.Start, rg.Len, overlapLimit(stack))
 		p.wideMu.Unlock()
 		if len(over) > 0 {
-			if stack && over[0].Tag == TagStack {
+			if evictable(over, stack) {
 				return nil, true
 			}
 			st.Violations++
 			return p.conflictErr(rg, stack), false
 		}
 	}
-	p.flushOverlapping(st, rg.Start, rg.End())
 	sh := &p.obj[shardIndex(rg.Start)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	for {
-		if sh.tree.Insert(rg) {
-			p.pmInsertShard(sh, rg)
-			st.Registered++
-			return nil, false
+	if !sh.tree.Insert(rg) {
+		over := sh.tree.OverlapRanges(rg.Start, rg.Len, overlapLimit(stack))
+		if !evictable(over, stack) {
+			st.Violations++
+			return p.conflictErr(rg, stack), false
 		}
-		if stack {
-			if old, ok := sh.tree.FindOverlap(rg.Start, rg.Len); ok && old.Tag == TagStack {
-				sh.tree.Remove(old.Start)
-				p.pmRemoveShard(sh, old)
-				p.invalidate() // after the removal: the evicted frame may be cached
-				continue
-			}
+		for _, old := range over {
+			sh.tree.Remove(old.Start)
 		}
-		st.Violations++
-		return p.conflictErr(rg, stack), false
+		st.Dropped += uint64(len(over))
+		p.invalidate() // after the removals: an evicted frame may be cached
+		sh.tree.Insert(rg)
 	}
+	st.Registered++
+	return nil, false
 }
 
 // registerWide inserts an object under the exclusive gate: wide objects,
-// and narrow registrations that must evict a stale wide stack frame.
-// Pending caches drain first so conflict detection sees everything.
+// and narrow registrations that must evict stale wide stack frames.
 func (p *Pool) registerWide(st *Stats, rg splay.Range, stack bool) error {
-	p.drainPends(st)
 	if rg.Start+rg.Len < rg.Start {
 		// Wraparound: the tree would reject it; classify as the
 		// registration conflict the seed path reported.
 		st.Violations++
 		return p.conflictErr(rg, stack)
 	}
-	for {
-		old, ok := p.anyOverlapLocked(rg)
-		if !ok {
-			break
-		}
-		if stack && old.Tag == TagStack {
-			p.removeObjectLocked(old)
-			p.invalidate() // after the removal: the evicted frame may be cached
-			continue
-		}
+	over := p.overlapsLocked(rg, overlapLimit(stack))
+	if !evictable(over, stack) {
 		st.Violations++
 		return p.conflictErr(rg, stack)
+	}
+	if len(over) > 0 {
+		for _, old := range over {
+			p.removeObjectLocked(old)
+		}
+		st.Dropped += uint64(len(over))
+		p.invalidate() // after the removals: an evicted frame may be cached
 	}
 	if narrow(rg) {
 		sh := &p.obj[shardIndex(rg.Start)]
 		sh.mu.Lock()
 		sh.tree.Insert(rg)
-		p.pmInsertShard(sh, rg)
 		sh.mu.Unlock()
 	} else {
 		p.wideMu.Lock()
 		p.wide.Insert(rg)
 		p.wideMu.Unlock()
 		p.wideCount.Add(1)
-		p.mapInsertWide(rg)
 	}
 	st.Registered++
 	return nil
@@ -752,12 +615,6 @@ func (p *Pool) conflictErr(rg splay.Range, stack bool) error {
 // guest-controlled).
 const maxBatch = 4096
 
-// RegisterBatch records n objects of esize bytes starting at base
-// (VCPU 0).
-func (p *Pool) RegisterBatch(base, n, esize uint64) error {
-	return p.RegisterBatchCPU(0, base, n, esize)
-}
-
 // RegisterBatchCPU records n contiguous objects of esize bytes starting at
 // base — the slab-refill shape (sva.pool.regbatch).  Semantically
 // identical to n RegisterCPU calls; the fast path registers the whole
@@ -768,150 +625,94 @@ func (p *Pool) RegisterBatchCPU(cpu int, base, n, esize uint64) error {
 	if n == 0 || esize == 0 {
 		return nil
 	}
-	st := p.stats(cpu)
+	st := &p.cpu(cpu).st
 	if n > maxBatch {
 		st.Violations++
 		return &Violation{Kind: RegistrationConflict, Pool: p.Name, Addr: base,
 			Msg: fmt.Sprintf("batch of %d objects exceeds the %d-object bound", n, maxBatch)}
 	}
-	if p.SingleLock {
-		p.slmu.Lock()
-		defer p.slmu.Unlock()
-	}
 	p.batched.Add(1)
 	total := n * esize
-	whole := splay.Range{Start: base, Len: total}
-	if total/esize == n && narrow(whole) && p.chaos == nil {
+	if total/esize == n && narrow(splay.Range{Start: base, Len: total}) && p.chaos == nil {
 		p.growMaxObj(esize)
 		g := p.gate.rlock(cpu)
 		if p.wideCount.Load() == 0 {
-			p.flushOverlapping(st, whole.Start, whole.End())
-			sh := &p.obj[shardIndex(base)]
-			sh.mu.Lock()
-			for i := uint64(0); i < n; i++ {
-				rg := splay.Range{Start: base + i*esize, Len: esize, Tag: TagHeap}
-				if !sh.tree.Insert(rg) {
-					sh.mu.Unlock()
-					p.gate.runlock(g)
-					st.Violations++
-					return p.conflictErr(rg, false)
-				}
-				p.pmInsertShard(sh, rg)
-				st.Registered++
-			}
-			sh.mu.Unlock()
+			err := p.insertRun(st, base, n, esize)
 			p.gate.runlock(g)
-			return nil
+			return err
 		}
 		// Wide objects live: the element-at-a-time fallback re-acquires the
-		// gate slot per element (tryAbsorb, registerSlow), and sync.RWMutex
-		// forbids recursive RLock — a concurrent lockAll between the two
-		// acquisitions would deadlock.  Release ours before entering it.
+		// gate slot per element, and sync.RWMutex forbids recursive RLock —
+		// a concurrent lockAll between the two acquisitions would deadlock.
+		// Release ours before entering it.
 		p.gate.runlock(g)
 	}
 	// Slow shape (wide batch, overflowing arithmetic, wide objects live, or
-	// chaos armed): element-at-a-time through the classic paths.
+	// chaos armed): element-at-a-time through the classic path.
 	for i := uint64(0); i < n; i++ {
 		rg := splay.Range{Start: base + i*esize, Len: esize, Tag: TagHeap}
-		if p.tryAbsorb(cpu, rg) {
-			continue
-		}
-		if err := p.registerSlow(cpu, rg, false); err != nil {
+		if err := p.register(cpu, rg, false); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Drop removes the object starting at addr on behalf of VCPU 0 (see the
-// per-CPU attribution note on Register).
-func (p *Pool) Drop(addr uint64) error { return p.DropCPU(0, addr) }
+// insertRun inserts a narrow batch into its shard under one lock hold.
+// Caller holds cpu's gate slot and has seen no wide object live.
+func (p *Pool) insertRun(st *Stats, base, n, esize uint64) error {
+	sh := &p.obj[shardIndex(base)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for i := uint64(0); i < n; i++ {
+		rg := splay.Range{Start: base + i*esize, Len: esize, Tag: TagHeap}
+		if !sh.tree.Insert(rg) {
+			st.Violations++
+			return p.conflictErr(rg, false)
+		}
+		st.Registered++
+	}
+	return nil
+}
 
 // DropCPU removes the object starting at addr (pchk.drop.obj).  Dropping a
 // pointer that is not the start of a live object is an illegal free
-// (guarantee T5: no double or illegal frees).  Fast path: the object is
-// still in a pending cache, or narrow in its region shard; only when wide
-// objects exist does a miss escalate to the exclusive gate.
+// (guarantee T5: no double or illegal frees).  A narrow object leaves its
+// region shard under cpu's gate slot; only when wide objects exist does a
+// miss escalate to the exclusive gate.
 func (p *Pool) DropCPU(cpu int, addr uint64) error {
-	st := p.stats(cpu)
-	if p.SingleLock {
-		p.slmu.Lock()
-		defer p.slmu.Unlock()
-	}
+	st := &p.cpu(cpu).st
 	g := p.gate.rlock(cpu)
-	if dropped, observed := p.dropFromPends(cpu, addr); dropped {
-		p.gate.runlock(g)
-		if observed {
-			p.invalidate()
-		}
-		st.Dropped++
-		return nil
-	}
 	sh := &p.obj[shardIndex(addr)]
 	sh.mu.Lock()
-	if r, ok := sh.tree.FindStart(addr); ok {
+	r, ok := sh.tree.FindStart(addr)
+	if ok {
 		sh.tree.Remove(r.Start)
-		p.pmRemoveShard(sh, r)
-		sh.mu.Unlock()
-		p.gate.runlock(g)
-		p.invalidate()
-		st.Dropped++
-		return nil
 	}
 	sh.mu.Unlock()
 	p.gate.runlock(g)
-	if p.wideCount.Load() != 0 {
+	if !ok && p.wideCount.Load() != 0 {
 		p.gate.lockAll()
 		p.wideMu.Lock()
-		r, ok := p.wide.FindStart(addr)
-		if ok {
+		if r, ok = p.wide.FindStart(addr); ok {
 			p.wide.Remove(r.Start)
+			p.wideCount.Add(^uint64(0))
 		}
 		p.wideMu.Unlock()
-		if ok {
-			p.wideCount.Add(^uint64(0))
-			p.mapRemoveWide(r)
-			p.invalidate()
-			p.gate.unlockAll()
-			st.Dropped++
-			return nil
-		}
 		p.gate.unlockAll()
 	}
+	if ok {
+		p.invalidate() // after the removal: the object may be cached
+		st.Dropped++
+		return nil
+	}
 	st.Violations++ // nothing was removed: no invalidation needed
-	if r, ok := p.lookupAny(cpu, addr); ok {
+	if r, ok := p.treeFind(addr, false); ok {
 		return &Violation{Kind: IllegalFree, Pool: p.Name, Addr: addr,
 			Msg: fmt.Sprintf("free of interior pointer into %v", r)}
 	}
 	return &Violation{Kind: IllegalFree, Pool: p.Name, Addr: addr,
 		Msg: "free of address with no live object (double free?)"}
-}
-
-// lookupAny finds the object containing addr across pends, the owning
-// shard and the wide tree, without page-map help (violation-flavor
-// classification on the drop path).
-func (p *Pool) lookupAny(cpu int, addr uint64) (splay.Range, bool) {
-	if r, ok := p.findInPends(cpu, addr); ok {
-		return r, true
-	}
-	sh := &p.obj[shardIndex(addr)]
-	sh.mu.Lock()
-	r, ok := sh.tree.Find(addr)
-	sh.mu.Unlock()
-	if ok {
-		return r, true
-	}
-	if p.wideCount.Load() != 0 {
-		p.wideMu.Lock()
-		r, ok = p.wide.Find(addr)
-		p.wideMu.Unlock()
-	}
-	return r, ok
-}
-
-// GetBounds returns the bounds of the object containing addr (VCPU 0).
-func (p *Pool) GetBounds(addr uint64) (start, end uint64, ok bool) {
-	return p.GetBoundsCPU(0, addr)
 }
 
 // GetBoundsCPU returns the bounds of the object containing addr.
@@ -925,11 +726,6 @@ func (p *Pool) GetBoundsCPU(cpu int, addr uint64) (start, end uint64, ok bool) {
 	return 0, 0, false
 }
 
-// BoundsCheck verifies an indexing operation on behalf of VCPU 0.
-func (p *Pool) BoundsCheck(src, derived uint64) error {
-	return p.BoundsCheckCPU(0, src, derived)
-}
-
 // BoundsCheckCPU verifies that derived — a pointer computed by indexing
 // from src — still points into (or one past) the same registered object
 // (pchk.bounds / the boundscheck operation).
@@ -938,7 +734,7 @@ func (p *Pool) BoundsCheck(src, derived uint64) error {
 // hits a registered object, nothing can be concluded and the check passes;
 // if either one hits, both must be in the same object.
 func (p *Pool) BoundsCheckCPU(cpu int, src, derived uint64) error {
-	st := p.stats(cpu)
+	st := &p.cpu(cpu).st
 	st.BoundsChecks++
 	if p.quarantined.Load() {
 		return p.corruptionErr(st, src)
@@ -977,17 +773,12 @@ func (p *Pool) BoundsCheckCPU(cpu int, src, derived uint64) error {
 	return nil // reduced check on incomplete pool: inconclusive
 }
 
-// LoadStoreCheck verifies a load/store pointer on behalf of VCPU 0.
-func (p *Pool) LoadStoreCheck(addr uint64) error {
-	return p.LoadStoreCheckCPU(0, addr)
-}
-
 // LoadStoreCheckCPU verifies that a pointer used by a load or store
 // targets a registered object of this pool (pchk.lscheck).  It is only
 // required for non-TH pools; for incomplete pools it is disabled by the
 // compiler (the sole source of false negatives, §4.5).
 func (p *Pool) LoadStoreCheckCPU(cpu int, addr uint64) error {
-	st := p.stats(cpu)
+	st := &p.cpu(cpu).st
 	st.LSChecks++
 	if p.quarantined.Load() {
 		return p.corruptionErr(st, addr)
@@ -1009,40 +800,17 @@ func (p *Pool) LoadStoreCheckCPU(cpu int, addr uint64) error {
 		Msg: "access through pointer outside every registered object"}
 }
 
-// NoteElidedBounds records a bounds check the compiler proved redundant
-// at this site (the check itself does not run).  Charges VCPU 0's shard;
-// see the attribution note on Register.
-func (p *Pool) NoteElidedBounds() { p.Stats.ElidedBounds++ }
+// NoteElidedBoundsCPU records a bounds check the compiler proved redundant
+// at this site (the check itself does not run), charged to cpu's shard.
+func (p *Pool) NoteElidedBoundsCPU(cpu int) { p.cpu(cpu).st.ElidedBounds++ }
 
-// NoteElidedBoundsCPU is NoteElidedBounds charged to cpu's shard.
-func (p *Pool) NoteElidedBoundsCPU(cpu int) { p.stats(cpu).ElidedBounds++ }
+// NoteElidedLSCPU records an elided load-store check, charged to cpu's
+// shard.
+func (p *Pool) NoteElidedLSCPU(cpu int) { p.cpu(cpu).st.ElidedLS++ }
 
-// NoteElidedLS records an elided load-store check (VCPU 0's shard; see
-// the attribution note on Register).
-func (p *Pool) NoteElidedLS() { p.Stats.ElidedLS++ }
-
-// NoteElidedLSCPU is NoteElidedLS charged to cpu's shard.
-func (p *Pool) NoteElidedLSCPU(cpu int) { p.stats(cpu).ElidedLS++ }
-
-// Contains reports whether addr falls in a registered object (no stats).
-func (p *Pool) Contains(addr uint64) bool {
-	if _, ok := p.userRange(addr); ok {
-		return true
-	}
-	_, ok := p.find(addr)
-	return ok
-}
-
-// NumObjects returns the live object count (pended objects included: they
-// are registered and checkable, merely not yet spilled).
+// NumObjects returns the live object count.
 func (p *Pool) NumObjects() int {
 	n := 0
-	for i := range p.pends {
-		c := p.pends[i]
-		c.mu.Lock()
-		n += c.n
-		c.mu.Unlock()
-	}
 	for i := range p.obj {
 		sh := &p.obj[i]
 		sh.mu.Lock()
@@ -1067,50 +835,28 @@ func (p *Pool) NumObjects() int {
 // supervisor re-applies its ledger (Registry.ApplyQuarantine).
 //
 // Ordering: trees clear under their shard locks before maxObj zeroes, so
-// a concurrent slow-path reader — whose validity filter runs under the
-// same shard lock as its find — can never pair a live range with a zeroed
-// watermark (no spurious quarantine from a reset race).
+// a concurrent reader — whose validity filter runs under the same shard
+// lock as its find — can never pair a live range with a zeroed watermark
+// (no spurious quarantine from a reset race).
 func (p *Pool) Reset() {
-	if p.SingleLock {
-		p.slmu.Lock()
-		defer p.slmu.Unlock()
-	}
 	p.gate.lockAll()
 	defer p.gate.unlockAll()
 	p.emitTrace(telemetry.EvPoolReset, []uint64{uint64(p.NumObjects())}, "")
-	for i := range p.pends {
-		c := p.pends[i]
-		c.mu.Lock()
-		c.n = 0
-		c.hi.Store(0)
-		c.lo.Store(0)
-		c.mu.Unlock()
-	}
-	for i := range p.pendRegion {
-		p.pendRegion[i].c.Store(0)
-	}
 	for i := range p.obj {
 		sh := &p.obj[i]
 		sh.mu.Lock()
 		sh.tree.ClearRecycle()
-		// Retired and recycled page entries go to the GC wholesale: a
-		// fresh pool must not inherit entries a straggling reader may
-		// still pin.
-		sh.limbo, sh.limboN, sh.free = nil, 0, nil
 		sh.mu.Unlock()
 	}
 	p.wideMu.Lock()
 	p.wide.ClearRecycle()
 	p.wideMu.Unlock()
 	p.wideCount.Store(0)
-	p.pm.clear()
-	p.unmapped.Store(0)
 	// Invalidate after the structures are empty — a reader that cached an
 	// object mid-reset did so under the pre-bump epoch (see invalidate).
 	p.invalidate()
-	p.Stats = Stats{}
+	p.cpus[0].st = Stats{}
 	p.batched.Store(0)
-	p.eraReclaimed.Store(0)
 	p.maxObj.Store(0)
 }
 
@@ -1121,7 +867,7 @@ func (p *Pool) Reset() {
 func (p *Pool) Quarantine() { p.quarantined.Store(true) }
 
 // SplayLookups returns how many lookups reached the pool's splay trees
-// (page-map, last-hit-cache and pending-cache hits never do).
+// (last-hit-cache hits never do).
 func (p *Pool) SplayLookups() uint64 {
 	var n uint64
 	for i := range p.obj {
@@ -1162,18 +908,14 @@ type Registry struct {
 	// CallSets[i] is the set of legal function addresses for indirect
 	// call-check set i.  Populated at module-load time, read-only after.
 	CallSets []map[uint64]bool
-	// ICChecks/ICViolations count indirect-call checks at the registry
-	// level (call sets are not owned by any single pool).  These are
-	// VCPU 0's shard; icShards holds the others.
-	ICChecks     uint64
-	ICViolations uint64
-	icShards     []*icStat
+	// icShards counts indirect-call checks per VCPU at the registry level
+	// (call sets are not owned by any single pool); icShards[0] always
+	// exists and also absorbs out-of-range CPU numbers.
+	icShards []*icStat
 	// nvcpu is the shard count applied to pools added after SetVCPUs.
 	nvcpu int
 	// noCache is inherited by pools added after SetCacheDisabled(true).
 	noCache bool
-	// noPageMap is inherited by pools added after SetPageMapDisabled(true).
-	noPageMap bool
 	// trace is inherited by pools added after SetTrace.
 	trace *telemetry.Trace
 	// chaos is inherited by pools added after SetChaos.
@@ -1187,11 +929,11 @@ type icStat struct {
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{} }
+func NewRegistry() *Registry { return &Registry{icShards: []*icStat{{}}} }
 
-// SetVCPUs sizes every pool's per-VCPU statistics shards and last-hit
-// caches, plus the registry's indirect-call shards.  Must be called before
-// the VCPUs start running; pools added later inherit the count.
+// SetVCPUs sizes every pool's per-VCPU state, plus the registry's
+// indirect-call shards.  Must be called before the VCPUs start running;
+// pools added later inherit the count.
 func (r *Registry) SetVCPUs(n int) {
 	if n < 1 {
 		n = 1
@@ -1212,9 +954,6 @@ func (r *Registry) SetVCPUs(n int) {
 func (r *Registry) AddPool(p *Pool) int {
 	if r.noCache {
 		p.NoCache = true
-	}
-	if r.noPageMap {
-		p.NoPageMap = true
 	}
 	if !p.IsQuarantined() {
 		for _, old := range r.Pools {
@@ -1296,39 +1035,32 @@ func (r *Registry) AddCallSet(targets map[uint64]bool) int {
 	return len(r.CallSets) - 1
 }
 
-// IndirectCallCheck verifies an indirect call on behalf of VCPU 0.
-func (r *Registry) IndirectCallCheck(id int, target uint64) error {
-	return r.IndirectCallCheckCPU(0, id, target)
-}
-
 // IndirectCallCheckCPU verifies that target is a legal callee for set id
 // (control-flow integrity, guarantee T1).
 func (r *Registry) IndirectCallCheckCPU(cpu, id int, target uint64) error {
-	checks, viols := &r.ICChecks, &r.ICViolations
-	if cpu > 0 && cpu < len(r.icShards) {
-		sh := r.icShards[cpu]
-		checks, viols = &sh.Checks, &sh.Violations
+	sh := r.icShards[0]
+	if uint(cpu) < uint(len(r.icShards)) {
+		sh = r.icShards[cpu]
 	}
-	*checks++
+	sh.Checks++
 	if id < 0 || id >= len(r.CallSets) {
-		*viols++
+		sh.Violations++
 		return &Violation{Kind: IndirectCallViolation, Pool: fmt.Sprintf("callset%d", id),
 			Addr: target, Msg: "unknown call set"}
 	}
 	if r.CallSets[id][target] {
 		return nil
 	}
-	*viols++
+	sh.Violations++
 	return &Violation{Kind: IndirectCallViolation, Pool: fmt.Sprintf("callset%d", id),
 		Addr: target, Msg: "indirect call target not in compiler-computed callee set"}
 }
 
 // icTotals sums the registry-level indirect-call counters across shards.
 func (r *Registry) icTotals() (checks, viols uint64) {
-	checks, viols = r.ICChecks, r.ICViolations
-	for i := 1; i < len(r.icShards); i++ {
-		checks += r.icShards[i].Checks
-		viols += r.icShards[i].Violations
+	for _, sh := range r.icShards {
+		checks += sh.Checks
+		viols += sh.Violations
 	}
 	return checks, viols
 }
@@ -1355,18 +1087,6 @@ func (r *Registry) SetCacheDisabled(disabled bool) {
 		if disabled {
 			p.invalidate()
 		}
-	}
-}
-
-// SetPageMapDisabled toggles the page-map fast path on every current pool
-// and every pool registered later.  The map itself stays maintained, so
-// re-enabling needs no rebuild; only the lookup path changes.  This is the
-// splay-only configuration of the equivalence property test and the
-// lookup microbenchmark.
-func (r *Registry) SetPageMapDisabled(disabled bool) {
-	r.noPageMap = disabled
-	for _, p := range r.Pools {
-		p.NoPageMap = disabled
 	}
 }
 
@@ -1422,18 +1142,10 @@ func (r *Registry) SetTrace(t *telemetry.Trace) {
 
 // SetChaos arms (or, with nil, disarms) the ClassSplay fault-injection seam
 // on every current and future pool.  With no injector the hot-path cost is
-// one nil compare per lookup.  While armed, lookups bypass the page map
-// (in-place node corruption diverges the trees from the map); disarming
-// rebuilds each pool's page map from its trees so the fast path resumes
-// from consistent state.
+// one nil compare per lookup.  Call it while no VCPU runs.
 func (r *Registry) SetChaos(inj *faultinject.Injector) {
 	r.chaos = inj
 	for _, p := range r.Pools {
-		p.gate.lockAll()
 		p.chaos = inj
-		if inj == nil {
-			p.rebuildPM()
-		}
-		p.gate.unlockAll()
 	}
 }

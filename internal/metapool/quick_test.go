@@ -46,31 +46,27 @@ func TestQuickCacheMatchesReference(t *testing.T) {
 			var kc, kr int
 			switch s.Kind % 6 {
 			case 0:
-				kc = violationKind(t, cached.Register(addr, size, TagHeap))
-				kr = violationKind(t, ref.Register(addr, size, TagHeap))
+				kc = violationKind(t, cached.RegisterCPU(0, addr, size, TagHeap))
+				kr = violationKind(t, ref.RegisterCPU(0, addr, size, TagHeap))
 			case 1:
-				kc = violationKind(t, cached.RegisterStack(addr, size))
-				kr = violationKind(t, ref.RegisterStack(addr, size))
+				kc = violationKind(t, cached.RegisterStackCPU(0, addr, size))
+				kr = violationKind(t, ref.RegisterStackCPU(0, addr, size))
 			case 2:
-				kc = violationKind(t, cached.Drop(addr))
-				kr = violationKind(t, ref.Drop(addr))
+				kc = violationKind(t, cached.DropCPU(0, addr))
+				kr = violationKind(t, ref.DropCPU(0, addr))
 			case 3:
 				derived := addr + uint64(s.B%128)
-				kc = violationKind(t, cached.BoundsCheck(addr, derived))
-				kr = violationKind(t, ref.BoundsCheck(addr, derived))
+				kc = violationKind(t, cached.BoundsCheckCPU(0, addr, derived))
+				kr = violationKind(t, ref.BoundsCheckCPU(0, addr, derived))
 			case 4:
-				kc = violationKind(t, cached.LoadStoreCheck(addr))
-				kr = violationKind(t, ref.LoadStoreCheck(addr))
+				kc = violationKind(t, cached.LoadStoreCheckCPU(0, addr))
+				kr = violationKind(t, ref.LoadStoreCheckCPU(0, addr))
 			case 5:
-				cs, ce, cok := cached.GetBounds(addr)
-				rs, re, rok := ref.GetBounds(addr)
+				cs, ce, cok := cached.GetBoundsCPU(0, addr)
+				rs, re, rok := ref.GetBoundsCPU(0, addr)
 				if cs != rs || ce != re || cok != rok {
 					t.Logf("step %d: GetBounds(%#x) cached=(%#x,%#x,%v) ref=(%#x,%#x,%v)",
 						i, addr, cs, ce, cok, rs, re, rok)
-					return false
-				}
-				if cached.Contains(addr) != ref.Contains(addr) {
-					t.Logf("step %d: Contains(%#x) diverged", i, addr)
 					return false
 				}
 			}
@@ -87,7 +83,7 @@ func TestQuickCacheMatchesReference(t *testing.T) {
 		}
 		// The reference never touches the cache; the cached pool's
 		// counters must reconcile with its actual tree traffic.
-		if ref.Stats.CacheHits != 0 {
+		if ref.cpus[0].st.CacheHits != 0 {
 			t.Logf("reference pool used the cache")
 			return false
 		}

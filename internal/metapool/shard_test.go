@@ -1,9 +1,9 @@
 package metapool
 
 import (
+	"runtime"
 	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"sva/internal/splay"
@@ -63,12 +63,12 @@ func runStressOp(t *testing.T, p *Pool, cpu int, op stressOp) int {
 
 // TestConcurrentStressOracle drives 8 VCPUs through random register/drop/
 // check programs on disjoint address regions concurrently, then replays
-// the identical programs serially against a splay-only oracle pool.
+// the identical programs serially against an uncached oracle pool.
 // Workers never touch each other's addresses, so every per-worker verdict
 // stream is deterministic: the concurrent sharded pool must produce
 // bit-identical verdicts and the same final object count as the oracle.
 // Run under -race this is also the data-race suite for the sharded write
-// paths, the pending caches and the epoch machinery.
+// paths and the per-VCPU caches.
 func TestConcurrentStressOracle(t *testing.T) {
 	const workers = 8
 	const opsPer = 3000
@@ -94,7 +94,7 @@ func TestConcurrentStressOracle(t *testing.T) {
 	wg.Wait()
 
 	oracle := NewPool("MPO", false, true, 0)
-	oracle.NoPageMap = true // splay-only reference: no page map, no pends
+	oracle.NoCache = true // splay-only reference
 	for w := 0; w < workers; w++ {
 		for i, op := range progs[w] {
 			want := runStressOp(t, oracle, 0, op)
@@ -116,129 +116,29 @@ func TestConcurrentStressOracle(t *testing.T) {
 	}
 }
 
-// pinnedOnFree reports whether e sits on sh's free list.
-func pinnedOnFree(sh *objShard, e *pageEntry) bool {
-	for f := sh.free; f != nil; f = f.next {
-		if f == e {
-			return true
-		}
-	}
-	return false
-}
-
-func onLimbo(sh *objShard, e *pageEntry) bool {
-	for f := sh.limbo; f != nil; f = f.next {
-		if f == e {
-			return true
-		}
-	}
-	return false
-}
-
-// TestQuickEpochPinBlocksReuse is the reclamation safety property: a page
-// entry retired while a reader's epoch pin predates its retirement must
-// never reach the free list (where it could be rewritten under the
-// reader) until the pin clears — no matter how much churn forces reclaim
-// passes in between.
-func TestQuickEpochPinBlocksReuse(t *testing.T) {
-	prop := func(seed uint64, churnRaw uint16) bool {
-		churn := 80 + int(churnRaw%200) // always enough to cross limboThreshold
-		g := lcg(seed)
-		p := NewPool("MPE", false, true, 0)
-		p.setVCPUs(4)
-		p.NoPend = true // every register publishes a recyclable page entry
-		victim := 0x40000 + (g.next()%64)*PageSize
-		if err := p.RegisterCPU(1, victim, 64, TagHeap); err != nil {
-			t.Fatal(err)
-		}
-		leaf := p.pm.dir[victim>>(pageShift+l2Bits)].Load()
-		e := leaf[(victim>>pageShift)&(1<<l2Bits-1)].Load()
-		if e == nil || e.overflow {
-			t.Fatalf("victim entry not published: %v", e)
-		}
-		sh := &p.obj[shardIndex(victim)]
-
-		// A reader pins, then the victim is dropped: the retirement era is
-		// at or after the pin, so the entry stays out of reach of reuse.
-		s := p.pinR(2)
-		if err := p.DropCPU(1, victim); err != nil {
-			t.Fatal(err)
-		}
-		churnAddr := victim&^uint64(1<<regionShift-1) + 1<<20 // same shard region block
-		for i := 0; i < churn; i++ {
-			a := churnAddr + uint64(i%32)*PageSize
-			if err := p.RegisterCPU(1, a, 64, TagHeap); err != nil {
-				t.Fatal(err)
-			}
-			if err := p.DropCPU(1, a); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sh.mu.Lock()
-		freed := pinnedOnFree(sh, e)
-		kept := onLimbo(sh, e)
-		reclaims := p.eraReclaimed.Load()
-		sh.mu.Unlock()
-		if freed {
-			t.Fatalf("pinned entry reached the free list (churn %d)", churn)
-		}
-		if !kept {
-			t.Fatalf("pinned entry left limbo without being freed (churn %d)", churn)
-		}
-		if reclaims == 0 {
-			t.Fatalf("churn %d never forced a reclaim pass: property not exercised", churn)
-		}
-
-		// Pin released: the next reclaim pass must let the entry go.
-		s.e.Store(0)
-		for i := 0; i < limboThreshold+4; i++ {
-			a := churnAddr + uint64(i%32)*PageSize
-			if err := p.RegisterCPU(1, a, 64, TagHeap); err != nil {
-				t.Fatal(err)
-			}
-			if err := p.DropCPU(1, a); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sh.mu.Lock()
-		stillLimbo := onLimbo(sh, e)
-		sh.mu.Unlock()
-		if stillLimbo {
-			t.Fatal("entry still in limbo after the pin cleared and a reclaim ran")
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPerCPUStatsMerge pins the attribution contract of the legacy
-// non-CPU wrappers (Register/Drop/BoundsCheck/... charge VCPU 0's shard):
-// however calls are split between wrappers and *CPU variants, the merged
-// snapshot equals the arithmetic total — nothing double-counted, nothing
-// dropped.
+// TestPerCPUStatsMerge pins the per-VCPU attribution contract: however
+// calls are split between VCPUs, the merged snapshot equals the arithmetic
+// total — nothing double-counted, nothing dropped — and each VCPU's share
+// sits on its own shard.
 func TestPerCPUStatsMerge(t *testing.T) {
 	p := NewPool("MPM", false, true, 0)
 	p.setVCPUs(4)
 
-	// Legacy wrappers: attributed to shard 0.
 	for i := uint64(0); i < 10; i++ {
-		if err := p.Register(0x10000+i*0x100, 64, TagHeap); err != nil {
+		if err := p.RegisterCPU(0, 0x10000+i*0x100, 64, TagHeap); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := uint64(0); i < 4; i++ {
-		if err := p.Drop(0x10000 + i*0x100); err != nil {
+		if err := p.DropCPU(0, 0x10000+i*0x100); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := p.BoundsCheck(0x10400, 0x10410); err != nil {
+	if err := p.BoundsCheckCPU(0, 0x10400, 0x10410); err != nil {
 		t.Fatal(err)
 	}
-	p.NoteElidedBounds()
+	p.NoteElidedBoundsCPU(0)
 
-	// Explicit per-CPU calls from three other VCPUs.
 	for cpu := 1; cpu <= 3; cpu++ {
 		base := uint64(cpu) << 24
 		for i := uint64(0); i < 5; i++ {
@@ -271,9 +171,10 @@ func TestPerCPUStatsMerge(t *testing.T) {
 	if m.Violations != 0 {
 		t.Errorf("merged Violations = %d, want 0", m.Violations)
 	}
-	// The wrappers' share sits on shard 0, per the documented contract.
-	if p.Stats.Registered != 10 {
-		t.Errorf("shard 0 Registered = %d, want the 10 wrapper calls", p.Stats.Registered)
+	for cpu, want := range []uint64{10, 5, 5, 5} {
+		if got := p.cpus[cpu].st.Registered; got != want {
+			t.Errorf("shard %d Registered = %d, want %d", cpu, got, want)
+		}
 	}
 	// The registry snapshot reports the same merged numbers.
 	reg := NewRegistry()
@@ -292,18 +193,18 @@ func TestPerCPUStatsMerge(t *testing.T) {
 // n per-object registrations, fast path or not.
 func TestRegisterBatch(t *testing.T) {
 	p := NewPool("MPB", false, true, 0)
-	if err := p.RegisterBatch(0x80000, 16, 512); err != nil {
+	if err := p.RegisterBatchCPU(0, 0x80000, 16, 512); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.NumObjects(); got != 16 {
 		t.Fatalf("NumObjects = %d after batch of 16", got)
 	}
 	// Elements are separate objects: indexing across a boundary violates.
-	if err := p.BoundsCheck(0x80000, 0x80000+513); err == nil {
+	if err := p.BoundsCheckCPU(0, 0x80000, 0x80000+513); err == nil {
 		t.Error("cross-element indexing passed")
 	}
 	// One past the end of an element is legal.
-	if err := p.BoundsCheck(0x80000, 0x80000+512); err != nil {
+	if err := p.BoundsCheckCPU(0, 0x80000, 0x80000+512); err != nil {
 		t.Errorf("one-past-end within element: %v", err)
 	}
 	for i := uint64(0); i < 16; i++ {
@@ -313,28 +214,28 @@ func TestRegisterBatch(t *testing.T) {
 	}
 	// A conflict mid-batch keeps the earlier elements, like the per-object
 	// sequence would.
-	if err := p.Register(0x90000+5*512, 512, TagHeap); err != nil {
+	if err := p.RegisterCPU(0, 0x90000+5*512, 512, TagHeap); err != nil {
 		t.Fatal(err)
 	}
-	err := p.RegisterBatch(0x90000, 16, 512)
+	err := p.RegisterBatchCPU(0, 0x90000, 16, 512)
 	if v, ok := err.(*Violation); !ok || v.Kind != RegistrationConflict {
 		t.Fatalf("mid-batch conflict: got %v", err)
 	}
 	for i := uint64(0); i < 5; i++ {
-		if _, ok := p.find(0x90000 + i*512); !ok {
+		if _, ok := p.findCPU(0, 0x90000+i*512); !ok {
 			t.Errorf("pre-conflict element %d not registered", i)
 		}
 	}
 	// Oversized batches are refused outright (guest-controlled n).
-	err = p.RegisterBatch(0xA00000, maxBatch+1, 16)
+	err = p.RegisterBatchCPU(0, 0xA00000, maxBatch+1, 16)
 	if v, ok := err.(*Violation); !ok || v.Kind != RegistrationConflict {
 		t.Fatalf("oversized batch: got %v", err)
 	}
 	// Degenerate shapes are no-ops.
-	if err := p.RegisterBatch(0xB00000, 0, 16); err != nil {
+	if err := p.RegisterBatchCPU(0, 0xB00000, 0, 16); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.RegisterBatch(0xB00000, 4, 0); err != nil {
+	if err := p.RegisterBatchCPU(0, 0xB00000, 4, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -343,17 +244,17 @@ func TestRegisterBatch(t *testing.T) {
 	a := NewPool("MPBA", false, true, 0)
 	b := NewPool("MPBB", false, true, 0)
 	wide := splay.Range{Start: 3 << regionShift, Len: 2 << regionShift}
-	if err := a.Register(wide.Start, wide.Len, TagHeap); err != nil {
+	if err := a.RegisterCPU(0, wide.Start, wide.Len, TagHeap); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Register(wide.Start, wide.Len, TagHeap); err != nil {
+	if err := b.RegisterCPU(0, wide.Start, wide.Len, TagHeap); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.RegisterBatch(0x40000, 32, 128); err != nil {
+	if err := a.RegisterBatchCPU(0, 0x40000, 32, 128); err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 32; i++ {
-		if err := b.Register(0x40000+i*128, 128, TagHeap); err != nil {
+		if err := b.RegisterCPU(0, 0x40000+i*128, 128, TagHeap); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -361,8 +262,8 @@ func TestRegisterBatch(t *testing.T) {
 		t.Fatalf("batch %d objects, loop %d", a.NumObjects(), b.NumObjects())
 	}
 	for i := uint64(0); i < 32; i++ {
-		ra, oka := a.find(0x40000 + i*128 + 3)
-		rb, okb := b.find(0x40000 + i*128 + 3)
+		ra, oka := a.findCPU(0, 0x40000+i*128+3)
+		rb, okb := b.findCPU(0, 0x40000+i*128+3)
 		if oka != okb || ra != rb {
 			t.Fatalf("element %d: batch (%v,%v) loop (%v,%v)", i, ra, oka, rb, okb)
 		}
@@ -375,8 +276,7 @@ func TestRegisterBatch(t *testing.T) {
 // TestRegisterBatchWideConcurrent is the regression for the regbatch gate
 // deadlock: with a wide object live, the batch fast path used to fall
 // through to the element-at-a-time loop still holding its gate read slot,
-// and the loop re-acquires the same slot (tryAbsorb, registerSlow) — a
-// recursive RLock.  A concurrent lockAll (wide register/drop) arriving
+// and the loop re-acquires the same slot per element — a recursive RLock.  A concurrent lockAll (wide register/drop) arriving
 // between the two acquisitions then deadlocked the VM.  This drives
 // batches against wide-object churn on every VCPU and must complete.
 func TestRegisterBatchWideConcurrent(t *testing.T) {
@@ -384,7 +284,7 @@ func TestRegisterBatchWideConcurrent(t *testing.T) {
 	p.setVCPUs(4)
 	// A wide object stays live for the whole run so every batch takes the
 	// fallback shape.
-	if err := p.Register(8<<regionShift, 2<<regionShift, TagHeap); err != nil {
+	if err := p.RegisterCPU(0, 8<<regionShift, 2<<regionShift, TagHeap); err != nil {
 		t.Fatal(err)
 	}
 	const rounds = 200
@@ -430,23 +330,6 @@ func TestRegisterBatchWideConcurrent(t *testing.T) {
 	}
 }
 
-// TestPinConflictPanics pins the one-concurrent-user-per-EBR-slot
-// invariant: a second pin on an already-pinned slot must panic instead of
-// silently overwriting the first reader's announcement (which would let
-// reclaim free an entry that reader still dereferences).
-func TestPinConflictPanics(t *testing.T) {
-	p := NewPool("MPP", false, true, 0)
-	p.setVCPUs(2)
-	s := p.pinR(1)
-	defer s.e.Store(0)
-	defer func() {
-		if recover() == nil {
-			t.Error("second pinR on a pinned slot did not panic")
-		}
-	}()
-	p.pinR(1)
-}
-
 // TestRegisterBatchGateNotHeldAcrossFallback is the deterministic form of
 // the regbatch gate-deadlock regression.  It parks the batch's fallback
 // loop on a shard mutex the test holds, lets a lockAll writer queue up on
@@ -459,7 +342,7 @@ func TestRegisterBatchGateNotHeldAcrossFallback(t *testing.T) {
 	p := NewPool("MPBG", false, true, 0)
 	p.setVCPUs(4)
 	// A live wide object forces every batch into the fallback shape.
-	if err := p.Register(8<<regionShift, 2<<regionShift, TagHeap); err != nil {
+	if err := p.RegisterCPU(0, 8<<regionShift, 2<<regionShift, TagHeap); err != nil {
 		t.Fatal(err)
 	}
 	const base = uint64(0x100000)
@@ -487,5 +370,65 @@ func TestRegisterBatchGateNotHeldAcrossFallback(t *testing.T) {
 	<-gateDone
 	if got := p.NumObjects(); got != 9 {
 		t.Fatalf("NumObjects = %d, want 9 (wide + 8 batch elements)", got)
+	}
+}
+
+// TestSharedRangeSequencedOracle drives 4 VCPUs through random programs on
+// ONE shared 64 KiB range that straddles a region boundary (so some
+// objects are wide).  Each operation runs under a test-side mutex — the
+// stand-in for guest locking — and is logged in that order; replaying the
+// log through the model must reproduce every verdict.  Unlike
+// TestConcurrentStressOracle's disjoint regions, VCPUs here routinely drop
+// or evict objects that sit in another VCPU's last-hit cache.
+func TestSharedRangeSequencedOracle(t *testing.T) {
+	const workers, opsPer = 4, 2000
+	base := uint64(1)<<regionShift - 0x8000
+	p := NewPool("MPX", false, true, 0)
+	p.setVCPUs(workers)
+	type logged struct {
+		op      modelOp
+		verdict int
+	}
+	var mu sync.Mutex
+	var log []logged
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			g := lcg(uint64(w)*7919 + 1)
+			for i := 0; i < opsPer; i++ {
+				r := g.next()
+				op := modelOp{
+					kind: [8]uint8{0, 1, 2, 3, 3, 4, 5, 5}[r%8],
+					cpu:  w,
+					// 64 hot slots of 4 starts each: objects overlap and
+					// every VCPU's cache holds objects the others drop.
+					addr: base + (r>>8%64)*1024 + (r>>16%4)*32,
+					size: 1 + (r>>24)%96,
+					n:    1 + (r>>40)%4,
+				}
+				op.derived = op.addr + op.size/2
+				mu.Lock()
+				log = append(log, logged{op, op.onPool(t, p)})
+				mu.Unlock()
+				runtime.Gosched() // interleave the VCPUs even on one host CPU
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	m := &model{complete: true}
+	for i, l := range log {
+		if want := l.op.onModel(m); l.verdict != want {
+			t.Fatalf("op %d %+v: pool verdict %d, model %d", i, l.op, l.verdict, want)
+		}
+	}
+	if got, want := p.NumObjects(), m.t.Len(); got != want {
+		t.Fatalf("final object count: pool %d, model %d", got, want)
+	}
+	s := p.mergedStats()
+	if s.Dropped == 0 || s.CacheHits == 0 || s.Violations == 0 {
+		t.Fatalf("run did not exercise drops, cache hits and violations: %+v", s)
 	}
 }

@@ -377,7 +377,7 @@ func SMPTable(rows []SMPRow) string {
 
 // ConcurrentRegBench reports registration/drop throughput on one metapool
 // under concurrent writers in disjoint regions: the sharded write paths
-// against the pre-sharding single-mutex discipline (Pool.SingleLock).
+// against the pre-sharding single-mutex discipline.
 //
 // The primary rows are a deterministic virtual-time measurement.  A guest
 // loop of pchk.reg.obj/pchk.drop.obj pairs runs on one VCPU to measure the
@@ -385,18 +385,19 @@ func SMPTable(rows []SMPRow) string {
 // the splay work the seed performed under its global pool mutex (costReg +
 // costDrop), so the seed path's aggregate throughput saturates at one pair
 // per critical section once enough writers contend, while the sharded
-// paths — whose writers in disjoint regions share no pend cache, gate
-// slot, region counter, or shard tree — scale with the writer count.
-// That saturation model is the standard one for a single lock and every
-// input to it is a measured virtual cycle, so the row is bit-identical
-// run to run on any host.
+// paths — whose writers in disjoint regions share no gate slot and no
+// shard tree — scale with the writer count.  That saturation model is the
+// standard one for a single lock and every input to it is a measured
+// virtual cycle, so the row is bit-identical run to run on any host.
 //
-// The wall-clock rows measure the same loop on host goroutines.  They
-// are honest but host-bound: on a single-core container the writers
-// time-slice, so the ratio reflects only per-op cost, and the numbers are
-// noisy — which is why they are opt-in (`sva-bench -wallclock`) and never
-// recorded into the benchmark JSON.  With wallclock false the output is
-// bit-identical run to run, preserving the tables' determinism invariant.
+// The wall-clock rows measure the same loop on host goroutines; the
+// single-lock row wraps every RegisterCPU/DropCPU call in one caller-side
+// mutex, the seed's discipline.  They are honest but host-bound: on a
+// single-core container the writers time-slice, so the ratio reflects only
+// per-op cost, and the numbers are noisy — which is why they are opt-in
+// (`sva-bench -wallclock`) and never recorded into the benchmark JSON.
+// With wallclock false the output is bit-identical run to run, preserving
+// the tables' determinism invariant.
 func ConcurrentRegBench(writers, opsPer int, wallclock bool) string {
 	var sb strings.Builder
 
@@ -422,8 +423,11 @@ func ConcurrentRegBench(writers, opsPer int, wallclock bool) string {
 		reg := metapool.NewRegistry()
 		reg.SetVCPUs(writers)
 		p := metapool.NewPool("regbench", false, true, 0)
-		p.SingleLock = single
 		reg.AddPool(p)
+		var mu sync.Locker = nopLocker{}
+		if single {
+			mu = new(sync.Mutex) // held around every op: the seed's discipline
+		}
 		var wg sync.WaitGroup
 		start := time.Now()
 		for w := 0; w < writers; w++ {
@@ -433,10 +437,16 @@ func ConcurrentRegBench(writers, opsPer int, wallclock bool) string {
 				base := uint64(w+1) << 24 // distinct regions per writer
 				for i := 0; i < opsPer; i++ {
 					a := base + uint64(i%1024)*4096
-					if err := p.RegisterCPU(w, a, 256, 0); err != nil {
+					mu.Lock()
+					err := p.RegisterCPU(w, a, 256, 0)
+					mu.Unlock()
+					if err != nil {
 						panic(err)
 					}
-					if err := p.DropCPU(w, a); err != nil {
+					mu.Lock()
+					err = p.DropCPU(w, a)
+					mu.Unlock()
+					if err != nil {
 						panic(err)
 					}
 				}
@@ -467,6 +477,12 @@ func ConcurrentRegBench(writers, opsPer int, wallclock bool) string {
 	fmt.Fprintf(&sb, "%-24s %10.2f Mops/s  %5.2fx\n", "sharded write paths", sharded, sp)
 	return sb.String()
 }
+
+// nopLocker is the sharded row's stand-in for the single-lock row's mutex.
+type nopLocker struct{}
+
+func (nopLocker) Lock()   {}
+func (nopLocker) Unlock() {}
 
 // RegBenchResult is the deterministic virtual-time half of the
 // concurrent-registration microbench: measured cycle costs and the
@@ -568,14 +584,14 @@ func FormatChecks(s telemetry.Snapshot) string {
 	snap, c, m := s.Checks, s.VM, s.Static
 	var sb strings.Builder
 	sb.WriteString("Check statistics (sva-safe, Table 7 battery)\n")
-	fmt.Fprintf(&sb, "%-16s %3s %3s %6s %9s %9s %9s %9s %10s %10s %10s %7s %9s %5s\n",
-		"Pool", "TH", "C", "objs", "bounds", "b-elide", "lscheck", "ls-elide", "pm-hit", "cache-hit", "tree-path", "fast%", "splay", "viol")
+	fmt.Fprintf(&sb, "%-16s %3s %3s %6s %9s %9s %9s %9s %10s %10s %7s %9s %5s\n",
+		"Pool", "TH", "C", "objs", "bounds", "b-elide", "lscheck", "ls-elide", "cache-hit", "tree-path", "fast%", "splay", "viol")
 	// fastPct is the share of lookups answered without a splay tree.  The
-	// four lookup counters are disjoint (each lookup is charged to the
-	// structure that finally answered it), so the tree-path count over
-	// their sum is exactly the slow fraction.
+	// two lookup counters are disjoint (each lookup is charged to the
+	// structure that answered it), so the tree-path count over their sum
+	// is exactly the slow fraction.
 	fastPct := func(s telemetry.CheckStats) float64 {
-		tot := s.PageHits + s.CacheHits + s.PendHits + s.CacheMisses
+		tot := s.CacheHits + s.CacheMisses
 		if tot == 0 {
 			return 0
 		}
@@ -588,18 +604,17 @@ func FormatChecks(s telemetry.Snapshot) string {
 			idle++
 			continue
 		}
-		fmt.Fprintf(&sb, "%-16s %3s %3s %6d %9d %9d %9d %9d %10d %10d %10d %6.1f%% %9d %5d\n",
+		fmt.Fprintf(&sb, "%-16s %3s %3s %6d %9d %9d %9d %9d %10d %10d %6.1f%% %9d %5d\n",
 			p.Name, yn(p.TypeHomogeneous), yn(p.Complete), p.Objects,
-			s.BoundsChecks, s.ElidedBounds, s.LSChecks, s.ElidedLS, s.PageHits, s.CacheHits, s.CacheMisses, fastPct(s),
+			s.BoundsChecks, s.ElidedBounds, s.LSChecks, s.ElidedLS, s.CacheHits, s.CacheMisses, fastPct(s),
 			p.SplayLookups, s.Violations)
 	}
 	t := snap.Totals
-	fmt.Fprintf(&sb, "%-16s %3s %3s %6s %9d %9d %9d %9d %10d %10d %10d %6.1f%% %9s %5d\n",
+	fmt.Fprintf(&sb, "%-16s %3s %3s %6s %9d %9d %9d %9d %10d %10d %6.1f%% %9s %5d\n",
 		"Total", "", "", "", t.BoundsChecks, t.ElidedBounds, t.LSChecks, t.ElidedLS,
-		t.PageHits, t.CacheHits, t.CacheMisses, fastPct(t), "", t.Violations)
+		t.CacheHits, t.CacheMisses, fastPct(t), "", t.Violations)
 	fmt.Fprintf(&sb, "pools with no check activity: %d\n", idle)
-	fmt.Fprintf(&sb, "write path: absorbed=%d spilled=%d batched=%d pend-hits=%d epoch-reclaims=%d\n",
-		t.Absorbed, t.Spilled, t.Batched, t.PendHits, t.EpochReclaims)
+	fmt.Fprintf(&sb, "write path: batched=%d\n", t.Batched)
 	fmt.Fprintf(&sb, "indirect-call checks: %d (violations: %d)\n", snap.ICChecks, snap.ICViolations)
 	fmt.Fprintf(&sb, "vm counters: bounds=%d lscheck=%d icheck=%d elided-bounds=%d elided-ls=%d\n",
 		c.ChecksBounds, c.ChecksLS, c.ChecksIC, c.ElidedBounds, c.ElidedLS)

@@ -246,12 +246,11 @@ func (t *Tree) FindOverlap(start, length uint64) (Range, bool) {
 }
 
 // OverlapRanges returns up to max ranges overlapping [start, start+length),
-// in ascending start order, WITHOUT splaying.  The page-map invalidation
-// protocol uses it to recompute a page node after a free: it must see every
-// object on the page but may not reshape the tree (the read path holds no
-// lock on the tree structure beyond the pool mutex, and a read-only query
-// keeps the oracle comparison honest).  Ranges never overlap each other, so
-// subtrees entirely left of start or right of end can be pruned.
+// in ascending start order (max 0: all of them), WITHOUT splaying.  The
+// metapool's registration-conflict and stale-stack eviction paths use it,
+// so conflict probing leaves the tree's shape and lookup accounting alone.
+// Ranges never overlap each other, so subtrees entirely left of start or
+// right of end can be pruned.
 func (t *Tree) OverlapRanges(start, length uint64, max int) []Range {
 	end := start + length
 	if end < start { // wraparound: clamp to the address-space top
