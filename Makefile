@@ -1,7 +1,7 @@
 # Tier-1 gate plus the race-sensitive packages this repo parallelizes.
 GO ?= go
 
-.PHONY: all build test vet lint race check equiv bench tables chaos netsmoke domsmoke smpsmoke16 tcb
+.PHONY: all build test vet lint race check equiv bench tables chaos netsmoke domsmoke smpsmoke16 tcb fuzzsmoke
 
 all: check
 
@@ -59,6 +59,14 @@ smpsmoke16:
 	$(GO) test -race -run 'TestSMPDispatch|TestSMPSmoke16' ./internal/kernel/ ./internal/faultinject/campaign/
 
 check: build lint test equiv race netsmoke domsmoke smpsmoke16
+
+# Native fuzz smoke: each fuzz target explores for 10 s beyond its
+# committed seed corpus (plain `go test` only replays the corpus).  A
+# failing input is written under the package's testdata/fuzz.  Not part
+# of check: its coverage depends on wall time, so it is not repeatable.
+fuzzsmoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzPoolOps$$' -fuzztime 10s ./internal/metapool/
+	$(GO) test -run '^$$' -fuzz '^FuzzPhysMemory$$' -fuzztime 10s ./internal/hw/
 
 # Trusted-computing-base size: non-test Go lines of the packages the
 # safety guarantees rest on (the SVM, the run-time checks, the

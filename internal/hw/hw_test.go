@@ -42,8 +42,10 @@ func TestPhysMemoryLimit(t *testing.T) {
 		t.Error("store past limit succeeded")
 	}
 	var f *MemFault
-	if e := m.Store(^uint64(0)-2, 1, 8); !errors.As(e, &f) {
-		t.Errorf("wrapping store = %v", e)
+	for _, addr := range []uint64{^uint64(0) - 2, ^uint64(0) - 7} { // unaligned, aligned
+		if e := m.Store(addr, 1, 8); !errors.As(e, &f) {
+			t.Errorf("wrapping store at %#x = %v", addr, e)
+		}
 	}
 }
 
