@@ -203,12 +203,12 @@ func main() {
 	// requested by name.
 	if wanted["engine"] {
 		add("engine", func() (string, error) {
-			rows, gm, err := report.RunEngine(s)
+			rows, err := report.RunEngine(s)
 			if err != nil {
 				return "", err
 			}
-			report.RecordEngineRows(metrics, rows, gm)
-			return report.EngineTable(rows, gm), nil
+			report.RecordEngineRows(metrics, rows)
+			return report.EngineTable(rows), nil
 		})
 	}
 	if want("exploits") {

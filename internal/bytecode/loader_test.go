@@ -108,3 +108,30 @@ func TestLoadTranslated(t *testing.T) {
 		t.Errorf("cached blob header: %q", e.Translation[:40])
 	}
 }
+
+// TestLoadTranslatedDirectConfigs: the direct configs run on the SVM's
+// threaded engine, but they model a kernel that never went through the
+// translator — so the load-time path reports no translation, writes no
+// signed-cache entry and counts no Translations for them.
+func TestLoadTranslatedDirectConfigs(t *testing.T) {
+	cache := testCache(t)
+	image, err := Encode(sampleModule())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []vm.Config{vm.ConfigNative, vm.ConfigSVAGCC} {
+		v := vm.New(hw.NewMachine(0, 16), cfg)
+		if _, translated, err := LoadTranslated(v, cache, image, false); err != nil || translated {
+			t.Fatalf("%v load: translated=%v err=%v; want a plain load", cfg, translated, err)
+		}
+		if n := len(cache.entries); n != 0 {
+			t.Errorf("%v load wrote %d signed-cache entries", cfg, n)
+		}
+		if cache.Hits != 0 || cache.Misses != 0 {
+			t.Errorf("%v load consulted the cache: hits=%d misses=%d", cfg, cache.Hits, cache.Misses)
+		}
+		if v.Counters.Translations != 0 {
+			t.Errorf("%v load counted %d translations", cfg, v.Counters.Translations)
+		}
+	}
+}

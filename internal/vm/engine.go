@@ -721,12 +721,7 @@ func (vm *VM) runLeaf(ex *Exec, fr *Frame, cf *compiledFunc) (uint64, error) {
 			// have changed under us.
 			fr.idx = i + 1
 			n++
-			vm.Counters.Steps += n
-			vm.Counters.EngineSteps += n
-			vm.CPU.Cycles += n
-			if kernel {
-				vm.Counters.KSteps += n
-			}
+			vm.chargeBatch(n, kernel)
 			return n, tb[i](vm, ex, fr)
 		}
 		fr.idx = i + 1
@@ -736,13 +731,41 @@ func (vm *VM) runLeaf(ex *Exec, fr *Frame, cf *compiledFunc) (uint64, error) {
 		}
 	}
 flush:
-	vm.Counters.Steps += n
+	vm.chargeBatch(n, kernel)
+	return n, err
+}
+
+// chargeBatch is runLeaf's single flush for n retired steps (leaf
+// closures never move Steps, so it still holds the batch's start).  A
+// direct config pays CycDirectPenalty on each step whose number is a
+// multiple of 32 — the per-step rule of stepIn in closed form — so the
+// batch charges exactly what n interpreter steps would.
+func (vm *VM) chargeBatch(n uint64, kernel bool) {
+	s := vm.Counters.Steps
+	vm.Counters.Steps = s + n
 	vm.Counters.EngineSteps += n
 	vm.CPU.Cycles += n
+	if !vm.Cfg.Translated() {
+		vm.CPU.Cycles += (s+n)>>CycDirectPenaltyShift - s>>CycDirectPenaltyShift
+	}
 	if kernel {
 		vm.Counters.KSteps += n
 	}
-	return n, err
+}
+
+// chargeStep is the step-wise engine path's bookkeeping for one step,
+// identical to stepIn's: counters move before the closure runs.
+func (vm *VM) chargeStep(ex *Exec, fr *Frame) {
+	fr.idx++
+	vm.Counters.Steps++
+	vm.Counters.EngineSteps++
+	if ex.priv == hw.PrivKernel {
+		vm.Counters.KSteps++
+	}
+	vm.CPU.Cycles++
+	if !vm.Cfg.Translated() && vm.Counters.Steps&(1<<CycDirectPenaltyShift-1) == 0 {
+		vm.CPU.Cycles++
+	}
 }
 
 // runEngine dispatches threaded code for as long as the top frame is
@@ -806,23 +829,11 @@ func (vm *VM) runEngine() error {
 			if n := len(ex.frames); n >= 2 {
 				caller = ex.frames[n-2].fn.Nm
 			}
-			fr.idx++
-			vm.Counters.Steps++
-			vm.Counters.EngineSteps++
-			if ex.priv == hw.PrivKernel {
-				vm.Counters.KSteps++
-			}
-			vm.CPU.Cycles++
+			vm.chargeStep(ex, fr)
 			err = top(vm, ex, fr)
 			vm.prof.ChargeFn(fn, caller, vm.CPU.Cycles-c0)
 		} else {
-			fr.idx++
-			vm.Counters.Steps++
-			vm.Counters.EngineSteps++
-			if ex.priv == hw.PrivKernel {
-				vm.Counters.KSteps++
-			}
-			vm.CPU.Cycles++
+			vm.chargeStep(ex, fr)
 			err = top(vm, ex, fr)
 		}
 		if err != nil {

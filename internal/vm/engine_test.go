@@ -146,58 +146,216 @@ func TestTranslateAllOrNothing(t *testing.T) {
 	}
 }
 
+// allConfigs lists the four kernel configurations of §7.1.
+var allConfigs = []Config{ConfigNative, ConfigSVAGCC, ConfigSVALLVM, ConfigSafe}
+
 // TestThreadedEngineEquivalence runs random programs on engine-on and
-// engine-off twins of the same translated configuration: results, virtual
-// cycles and every counter except EngineSteps must be bit-identical, and
-// the engine must actually engage (EngineSteps > 0) so the comparison is
-// not vacuous.
+// engine-off twins of every configuration: results, virtual cycles and
+// every counter except EngineSteps must be bit-identical, and the engine
+// must actually engage (EngineSteps > 0) so the comparison is not
+// vacuous.  The direct configs run on the engine too; only their modeled
+// cost (CycDirectPenalty) differs from the translated ones.
 func TestThreadedEngineEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 30; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		m := ir.NewModule("equiv")
-		randomFunc(m, "f", rng)
-		if errs := ir.VerifyModule(m); len(errs) != 0 {
-			t.Fatalf("seed %d: %v", seed, errs[0])
-		}
-		x, y := rng.Uint64(), rng.Uint64()
-		var results [2]uint64
-		var cycles [2]uint64
-		var counters [2]Counters
-		for i, engineOn := range []bool{true, false} {
-			v := New(hw.NewMachine(0, 16), ConfigSafe)
-			v.SetEngine(engineOn)
-			if err := v.LoadModule(m, false); err != nil {
-				t.Fatal(err)
+	for _, cfg := range allConfigs {
+		for seed := int64(0); seed < 30; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			m := ir.NewModule("equiv")
+			randomFunc(m, "f", rng)
+			if errs := ir.VerifyModule(m); len(errs) != 0 {
+				t.Fatalf("seed %d: %v", seed, errs[0])
 			}
-			top, _ := v.AllocKernelStack(64 * 1024)
-			ex, err := v.NewExec(v.FuncByName("f"), []uint64{x, y}, top, hw.PrivKernel)
-			if err != nil {
-				t.Fatal(err)
+			x, y := rng.Uint64(), rng.Uint64()
+			var results [2]uint64
+			var cycles [2]uint64
+			var counters [2]Counters
+			for i, engineOn := range []bool{true, false} {
+				v := New(hw.NewMachine(0, 16), cfg)
+				v.SetEngine(engineOn)
+				if err := v.LoadModule(m, false); err != nil {
+					t.Fatal(err)
+				}
+				top, _ := v.AllocKernelStack(64 * 1024)
+				ex, err := v.NewExec(v.FuncByName("f"), []uint64{x, y}, top, hw.PrivKernel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				v.SetExec(ex)
+				got, err := v.Run()
+				if err != nil {
+					t.Fatalf("%v seed %d engine=%v: %v", cfg, seed, engineOn, err)
+				}
+				results[i] = got
+				cycles[i] = v.CPU.Cycles
+				counters[i] = v.Counters
 			}
-			v.SetExec(ex)
-			got, err := v.Run()
-			if err != nil {
-				t.Fatalf("seed %d engine=%v: %v", seed, engineOn, err)
+			if counters[0].EngineSteps == 0 {
+				t.Fatalf("%v seed %d: engine never engaged", cfg, seed)
 			}
-			results[i] = got
-			cycles[i] = v.CPU.Cycles
-			counters[i] = v.Counters
+			if counters[1].EngineSteps != 0 {
+				t.Fatalf("%v seed %d: engine-off twin retired engine steps", cfg, seed)
+			}
+			counters[0].EngineSteps, counters[1].EngineSteps = 0, 0
+			if results[0] != results[1] {
+				t.Errorf("%v seed %d: engine=%#x interpreter=%#x", cfg, seed, results[0], results[1])
+			}
+			if cycles[0] != cycles[1] {
+				t.Errorf("%v seed %d: cycles %d vs %d — the engine leaked into virtual time", cfg, seed, cycles[0], cycles[1])
+			}
+			if counters[0] != counters[1] {
+				t.Errorf("%v seed %d: counter divergence:\n engine: %+v\n interp: %+v", cfg, seed, counters[0], counters[1])
+			}
 		}
-		if counters[0].EngineSteps == 0 {
-			t.Fatalf("seed %d: engine never engaged", seed)
+	}
+}
+
+// twinExec boots an engine-on and an engine-off twin of cfg running
+// fn(args) from m at kernel privilege.
+func twinExec(t *testing.T, cfg Config, m *ir.Module, fn string, args ...uint64) [2]*VM {
+	t.Helper()
+	var twins [2]*VM
+	for i, engineOn := range []bool{true, false} {
+		v := New(hw.NewMachine(0, 64), cfg)
+		v.SetEngine(engineOn)
+		if err := v.LoadModule(m, false); err != nil {
+			t.Fatal(err)
 		}
-		if counters[1].EngineSteps != 0 {
-			t.Fatalf("seed %d: engine-off twin retired engine steps", seed)
+		top, err := v.AllocKernelStack(64 * 1024)
+		if err != nil {
+			t.Fatal(err)
 		}
-		counters[0].EngineSteps, counters[1].EngineSteps = 0, 0
-		if results[0] != results[1] {
-			t.Errorf("seed %d: engine=%#x interpreter=%#x", seed, results[0], results[1])
+		ex, err := v.NewExec(v.FuncByName(fn), args, top, hw.PrivKernel)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if cycles[0] != cycles[1] {
-			t.Errorf("seed %d: cycles %d vs %d — the engine leaked into virtual time", seed, cycles[0], cycles[1])
+		v.SetExec(ex)
+		twins[i] = v
+	}
+	return twins
+}
+
+// TestDirectPenaltyBatchEdges pins runLeaf's closed-form CycDirectPenalty
+// flush: a direct config stopped at every StepBudget stride from 1 to 64
+// — so batches start and end on both sides of each 32-step boundary, and
+// calls and returns flush mid-batch — must charge exactly the cycles of
+// its engine-off twin at every stop.  The profiled pass drives the
+// engine's step-wise path, which charges the penalty per step.
+func TestDirectPenaltyBatchEdges(t *testing.T) {
+	m := buildCallerCallee()
+	if errs := ir.VerifyModule(m); len(errs) != 0 {
+		t.Fatal(errs[0])
+	}
+	for _, cfg := range []Config{ConfigNative, ConfigSVAGCC} {
+		for stride := uint64(1); stride <= 64; stride++ {
+			for _, profiled := range []bool{false, true} {
+				directPenaltyRun(t, cfg, m, stride, profiled)
+			}
 		}
-		if counters[0] != counters[1] {
-			t.Errorf("seed %d: counter divergence:\n engine: %+v\n interp: %+v", seed, counters[0], counters[1])
+	}
+}
+
+// directPenaltyRun steps one engine-on/engine-off twin pair through f in
+// StepBudget strides, comparing virtual time at every stop.
+func directPenaltyRun(t *testing.T, cfg Config, m *ir.Module, stride uint64, profiled bool) {
+	t.Helper()
+	twins := twinExec(t, cfg, m, "f", 40)
+	if profiled {
+		for _, v := range twins {
+			v.EnableProfiling()
+		}
+	}
+	for stop := 0; ; stop++ {
+		var rets [2]uint64
+		var errs [2]error
+		for i, v := range twins {
+			v.StepBudget = uint64(stop+1) * stride
+			rets[i], errs[i] = v.Run()
+		}
+		on, off := twins[0], twins[1]
+		if on.CPU.Cycles != off.CPU.Cycles || on.Counters.Steps != off.Counters.Steps {
+			t.Fatalf("%v stride %d profiled=%v stop %d: engine cycles/steps %d/%d, interpreter %d/%d",
+				cfg, stride, profiled, stop, on.CPU.Cycles, on.Counters.Steps, off.CPU.Cycles, off.Counters.Steps)
+		}
+		if (errs[0] == nil) != (errs[1] == nil) || rets[0] != rets[1] {
+			t.Fatalf("%v stride %d profiled=%v stop %d: engine (%d, %v), interpreter (%d, %v)",
+				cfg, stride, profiled, stop, rets[0], errs[0], rets[1], errs[1])
+		}
+		if errs[0] == nil {
+			break
+		}
+		if errs[0] != ErrStepBudget {
+			t.Fatalf("%v stride %d: %v", cfg, stride, errs[0])
+		}
+	}
+	if twins[0].Counters.EngineSteps == 0 {
+		t.Fatalf("%v stride %d: engine never engaged", cfg, stride)
+	}
+}
+
+// TestDirectPenaltyWatchdogEdges ends runLeaf batches on the watchdog
+// trigger instead: a runaway handler on a direct config is aborted at
+// every fuel offset across two 32-step periods, and the engine must
+// charge exactly the interpreter's cycles up to and through the unwind.
+func TestDirectPenaltyWatchdogEdges(t *testing.T) {
+	m := ir.NewModule("spin")
+	b := ir.NewBuilder(m)
+	b.NewFunc("spin", ir.FuncOf(ir.I64, nil, false))
+	acc := b.Alloca(ir.I64, "acc")
+	b.Store(ir.I64c(0), acc)
+	b.For("i", ir.I64c(0), ir.I64c(1<<40), ir.I64c(1), func(i ir.Value) {
+		b.Store(b.Add(b.Load(acc), i), acc)
+	})
+	b.Ret(b.Load(acc))
+	for _, cfg := range []Config{ConfigNative, ConfigSVAGCC} {
+		for fuel := uint64(100); fuel < 164; fuel++ {
+			twins := twinExec(t, cfg, m, "spin")
+			var rets [2]uint64
+			for i, v := range twins {
+				ex := v.Exec()
+				ex.ics = append(ex.ics, &IContext{frameIdx: 0, retSlot: -1, savedSP: ex.sp, savedPriv: hw.PrivKernel, entrySteps: v.Counters.Steps})
+				v.WatchdogFuel = fuel
+				ret, err := v.Run()
+				if err != nil {
+					t.Fatalf("%v fuel %d: %v", cfg, fuel, err)
+				}
+				if v.Counters.WatchdogFaults != 1 {
+					t.Fatalf("%v fuel %d: WatchdogFaults = %d, want 1", cfg, fuel, v.Counters.WatchdogFaults)
+				}
+				rets[i] = ret
+			}
+			on, off := twins[0], twins[1]
+			if rets[0] != rets[1] || on.CPU.Cycles != off.CPU.Cycles || on.Counters.Steps != off.Counters.Steps {
+				t.Fatalf("%v fuel %d: engine ret/cycles/steps %#x/%d/%d, interpreter %#x/%d/%d", cfg, fuel,
+					rets[0], on.CPU.Cycles, on.Counters.Steps, rets[1], off.CPU.Cycles, off.Counters.Steps)
+			}
+			if on.Counters.EngineSteps == 0 {
+				t.Fatalf("%v fuel %d: engine never engaged", cfg, fuel)
+			}
+		}
+	}
+}
+
+// TestDirectConfigsNotTranslated: the direct configs run on the threaded
+// engine, but Translations is modeled work — only the translated configs
+// pay for a translator, so it stays 0 for native and sva-gcc.
+func TestDirectConfigsNotTranslated(t *testing.T) {
+	m := buildCallerCallee()
+	if errs := ir.VerifyModule(m); len(errs) != 0 {
+		t.Fatal(errs[0])
+	}
+	for _, cfg := range allConfigs {
+		v := twinExec(t, cfg, m, "f", 20)[0]
+		if _, err := v.Run(); err != nil {
+			t.Fatalf("%v: %v", cfg, err)
+		}
+		want := uint64(0)
+		if cfg.Translated() {
+			want = 2 // f and g, once each
+		}
+		if v.Counters.Translations != want {
+			t.Errorf("%v: Translations = %d, want %d", cfg, v.Counters.Translations, want)
+		}
+		if v.Counters.EngineSteps == 0 {
+			t.Errorf("%v: engine never engaged", cfg)
 		}
 	}
 }

@@ -208,13 +208,14 @@ func (vm *VM) NewExec(fn *ir.Function, args []uint64, stackTop uint64, priv uint
 		spBase: stackTop,
 		retTo:  -1,
 	}
-	if vm.Cfg.Translated() {
-		cf, err := vm.translate(fn)
-		if err != nil {
-			return nil, err
-		}
-		fr.cf = cf
+	// Every config runs on the threaded engine; only a translated config
+	// requires the translation to succeed (a direct config whose function
+	// declines translation stays on the interpreter).
+	cf, err := vm.translate(fn)
+	if err != nil && vm.Cfg.Translated() {
+		return nil, err
 	}
+	fr.cf = cf
 	ex.frames = append(ex.frames, fr)
 	return ex, nil
 }
@@ -534,9 +535,10 @@ func (vm *VM) stepIn(ex *Exec, fr *Frame) error {
 		vm.Counters.KSteps++
 	}
 	vm.CPU.Cycles++
-	if fr.cf == nil && vm.Counters.Steps&(1<<CycDirectPenaltyShift-1) == 0 {
-		// Untranslated code: the §3.4 translator's output is slightly
-		// better than the direct path (the gcc/llvm delta of Table 5).
+	if (fr.cf == nil || !vm.Cfg.Translated()) && vm.Counters.Steps&(1<<CycDirectPenaltyShift-1) == 0 {
+		// Direct code — a direct config, or a frame whose translation
+		// failed: the §3.4 translator's output is slightly better than
+		// the direct path (the gcc/llvm delta of Table 5).
 		vm.CPU.Cycles++
 	}
 	return vm.exec(ex, fr, in, ops)
@@ -1147,7 +1149,6 @@ func (vm *VM) pushCall(fn *ir.Function, args []uint64, retTo int, icTop bool) {
 	}
 	copy(fr.params, args)
 	fr.fn = fn
-	fr.cf = nil
 	fr.block = 0
 	fr.idx = 0
 	fr.prev = 0
@@ -1155,9 +1156,7 @@ func (vm *VM) pushCall(fn *ir.Function, args []uint64, retTo int, icTop bool) {
 	fr.retTo = retTo
 	fr.icTop = icTop
 	fr.cleanups = nil
-	if vm.Cfg.Translated() {
-		fr.cf = vm.translateCached(fn)
-	}
+	fr.cf = vm.translateCached(fn)
 	ex.frames = append(ex.frames, fr)
 }
 
@@ -1393,7 +1392,7 @@ func (vm *VM) gepOffset(fr *Frame, in *ir.Instr) (int64, error) {
 			return 0, err
 		}
 		// Plans are immutable once built; LoadOrStore keeps concurrent
-		// builders (untranslated configs have no eng.mu serialization)
+		// builders (uncompiled frames have no eng.mu serialization)
 		// agreeing on one canonical plan.
 		got, _ := vm.eng.gepPlans.LoadOrStore(in, plan)
 		plan = got.(*gepPlan)

@@ -19,9 +19,11 @@ import (
 // translates once no matter which CPU calls it first.  internal/bytecode
 // adds the on-disk cache with cryptographic signing.
 //
-// In ConfigSVALLVM / ConfigSafe the stepper consults the cache; the
-// translation cost appears once per function, exactly like a load-time
-// translator with a warm cache afterwards.
+// Every config's frames consult the cache, so every config runs on the
+// threaded engine.  Only ConfigSVALLVM / ConfigSafe model the translator:
+// for them the Translations count appears once per function, exactly
+// like a load-time translator with a warm cache afterwards; the direct
+// configs translate for host dispatch alone and count nothing.
 
 // operandKind discriminates pre-resolved operands.
 type operandKind uint8
@@ -135,7 +137,11 @@ func (vm *VM) translate(f *ir.Function) (*compiledFunc, error) {
 		vm.eng.gepPlans.Store(in, p)
 	}
 	vm.eng.translated.Store(key, cf)
-	vm.Counters.Translations++
+	if vm.Cfg.Translated() {
+		// Modeled work: the direct configs never pay for a translator,
+		// whichever host path runs them.
+		vm.Counters.Translations++
+	}
 	return cf, nil
 }
 

@@ -51,8 +51,12 @@ func (c Config) String() string {
 	return fmt.Sprintf("config(%d)", int(c))
 }
 
-// Translated reports whether this configuration runs through the bytecode
-// translator (pre-lowered functions) rather than the direct interpreter.
+// Translated reports whether this configuration models a kernel run
+// through the bytecode translator (§3.4) rather than one compiled
+// directly to native code.  It selects modeled cost only — the direct
+// CycDirectPenalty, the Translations count, the signed translation cache
+// — never the host dispatch path: every config runs on the threaded
+// engine.
 func (c Config) Translated() bool { return c == ConfigSVALLVM || c == ConfigSafe }
 
 // Virtual address space layout (part of the virtual architecture).
@@ -92,9 +96,10 @@ const FuncStride = 16
 // share; only the charges with no operation of their own remain here.
 const (
 	CycTrapSpill = 60 // SVA configs: llva-mediated kernel entry/exit
-	// CycDirectPenalty models gcc-vs-llvm code quality: the untranslated
-	// engine pays one extra cycle every 32 instructions (~3%, within the
-	// ±13% band the paper measured between the two code generators).
+	// CycDirectPenalty models gcc-vs-llvm code quality: the direct
+	// configs pay one extra cycle every 32 instructions (~3%, within the
+	// ±13% band the paper measured between the two code generators),
+	// whichever host path — interpreter or threaded engine — runs them.
 	CycDirectPenaltyShift = 5
 )
 
@@ -186,9 +191,10 @@ type VM struct {
 	// plans, intrinsic-binding generation).  Shared by reference across
 	// every VCPU — a function translates once per machine, not per CPU.
 	eng *engineCache
-	// engine gates direct-threaded dispatch of translated frames (the §3.4
-	// engine; see engine.go).  Default on; SetEngine(false) yields the
-	// pre-lowered interpreter the equivalence suite uses as oracle.
+	// engine gates direct-threaded dispatch (see engine.go) of every frame
+	// with a compiled form, under every config.  Default on;
+	// SetEngine(false) yields the pre-lowered interpreter the equivalence
+	// suite uses as oracle.
 	engine bool
 	// tcache/tcGen memoize eng.translated per VCPU without the concurrent
 	// map (see translateCached); argbuf is the per-VCPU call-argument
@@ -352,10 +358,11 @@ func (vm *VM) RegisterIntrinsic(name string, fn IntrinsicFn) {
 }
 
 // SetEngine toggles direct-threaded dispatch on every VCPU of the machine.
-// Off, translated configs run the pre-lowered interpreter — the engine's
-// differential-testing oracle.  Verdicts, virtual cycles, counters and
-// trap behavior are bit-identical either way (the equivalence suite in
-// internal/exploits enforces this).
+// Off, every config runs the pre-lowered interpreter — the engine's
+// differential-testing oracle.  It is the only switch between the two
+// host paths; the config decides modeled cost, never dispatch.
+// Verdicts, virtual cycles, counters and trap behavior are bit-identical
+// either way (the equivalence suite in internal/exploits enforces this).
 func (vm *VM) SetEngine(on bool) {
 	for _, v := range vm.VCPUs() {
 		v.engine = on
