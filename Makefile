@@ -53,8 +53,7 @@ domsmoke:
 # 16-VCPU scaling smoke: boot and dispatch at the lifted VCPU ceiling,
 # then an abbreviated fault campaign (one seed per class) against a
 # 16-VCPU system — all under the race detector, because sixteen sibling
-# VCPUs hammer the sharded metapool write paths and last-hit caches
-# concurrently.  Any host escape fails the target.
+# VCPUs hammer the metapool locks and last-hit caches concurrently.  Any host escape fails the target.
 smpsmoke16:
 	$(GO) test -race -run 'TestSMPDispatch|TestSMPSmoke16' ./internal/kernel/ ./internal/faultinject/campaign/
 
@@ -69,10 +68,11 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPhysMemory$$' -fuzztime 10s ./internal/hw/
 
 # Trusted-computing-base size: non-test Go lines of the packages the
-# safety guarantees rest on (the SVM, the run-time checks, the
-# bytecode type checker, the SVA-OS operations and the modeled
-# hardware).  Informational: it prints, it never fails.
-TCB_PKGS = vm metapool typecheck svaos hw
+# safety guarantees rest on (the SVM, the run-time checks and the
+# splay tree that stores their objects, the bytecode type checker, the
+# SVA-OS operations and the modeled hardware).  Informational: it
+# prints, it never fails.
+TCB_PKGS = vm metapool splay typecheck svaos hw
 tcb:
 	@total=0; for p in $(TCB_PKGS); do \
 		n=$$(cat $$(ls internal/$$p/*.go | grep -v '_test\.go$$') | wc -l); \

@@ -17,8 +17,6 @@
 //	sva-bench -table=faults     fault-injection campaign outcome matrix
 //	sva-bench -table=all        everything
 //	sva-bench -table=smp        SMP syscall-throughput scaling at 1/2/4/8/16/32 VCPUs
-//	                            plus a concurrent-registration microbench
-//	sva-bench -table=smp -wallclock   add host wall-clock microbench rows (nondeterministic)
 //	sva-bench -table=net        descriptor-ring socket serving at 1/2/4 VCPUs
 //	sva-bench -table=domains    multi-domain serving at 1/2/4 domains + supervised microreboot recovery
 //	sva-bench -table=engine     threaded-code engine wall-clock speedup (not in "all": host-dependent)
@@ -35,6 +33,9 @@
 // concurrently on a bounded worker pool, and the config×workload runs
 // inside Tables 5-8 fan out one goroutine per kernel configuration.  The
 // printed tables are bit-identical to a serial run (-workers=1).
+//
+// -table takes a comma-separated list of the names above ("-table=5,7,8");
+// an unknown name is a usage error (exit status 2).
 package main
 
 import (
@@ -49,17 +50,50 @@ import (
 	"sva/internal/report"
 )
 
+// tableNames are the names -table accepts.  "all" selects every table
+// except "engine", which measures host wall-clock and must be named.
+var tableNames = []string{"api", "fig2", "4", "5", "6", "7", "8", "9", "checks", "profile",
+	"exploits", "tcb", "ablation", "faults", "smp", "net", "domains", "engine", "all"}
+
+// parseTables splits a comma-separated -table value into the set of names
+// it selects, rejecting every entry that names no table.
+func parseTables(spec string) (map[string]bool, error) {
+	known := map[string]bool{}
+	for _, n := range tableNames {
+		known[n] = true
+	}
+	wanted := map[string]bool{}
+	var bad []string
+	for _, t := range strings.Split(spec, ",") {
+		t = strings.TrimSpace(t)
+		if !known[t] {
+			bad = append(bad, fmt.Sprintf("%q", t))
+			continue
+		}
+		wanted[t] = true
+	}
+	if len(bad) > 0 {
+		return nil, fmt.Errorf("unknown -table name %s (want a comma-separated list of: %s)",
+			strings.Join(bad, ", "), strings.Join(tableNames, ", "))
+	}
+	return wanted, nil
+}
+
 func main() {
-	table := flag.String("table", "all", "which table to regenerate (4..9, checks, profile, exploits, tcb, ablation, faults, smp, net, domains, all)")
+	table := flag.String("table", "all", "comma-separated tables to regenerate ("+strings.Join(tableNames, ", ")+")")
 	scale := flag.Uint64("scale", 1, "divide iteration counts (1 = full run)")
 	seeds := flag.Int("seeds", 25, "seeds per fault class for -table=faults")
 	workers := flag.Int("workers", report.DefaultWorkers(), "max concurrent table jobs and per-table configurations (1 = serial)")
-	wallclock := flag.Bool("wallclock", false, "append host wall-clock rows to the -table=smp registration microbench (nondeterministic)")
 	benchjson := flag.String("benchjson", "", "write numeric table rows as JSON to this file")
 	baseline := flag.String("baseline", "", "print per-row deltas against a saved -benchjson dump")
 	cpuprofile := flag.String("cpuprofile", "", "write a host CPU profile (pprof) to this file")
 	memprofile := flag.String("memprofile", "", "write a host heap profile (pprof) to this file at exit")
 	flag.Parse()
+	wanted, err := parseTables(*table)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sva-bench:", err)
+		os.Exit(2)
+	}
 
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "sva-bench:", err)
@@ -80,12 +114,6 @@ func main() {
 	s := report.Scale(*scale)
 	w := *workers
 	metrics := &report.MetricSet{}
-	// -table takes a comma-separated list ("-table=5,7,8"); "all" selects
-	// every table.
-	wanted := map[string]bool{}
-	for _, t := range strings.Split(*table, ",") {
-		wanted[strings.TrimSpace(t)] = true
-	}
 	want := func(name string) bool { return wanted["all"] || wanted[name] }
 
 	// Each job renders one or more related sections; related tables that
@@ -171,11 +199,7 @@ func main() {
 				return "", err
 			}
 			report.RecordSMPRows(metrics, rows)
-			// The registration microbench's model rows are deterministic
-			// virtual time; its wall-clock rows are host-bound and noisy,
-			// so they stay behind -wallclock and are never recorded into
-			// the metrics JSON.
-			return report.SMPTable(rows) + "\n" + report.ConcurrentRegBench(8, 20000, *wallclock), nil
+			return report.SMPTable(rows), nil
 		})
 	}
 	if want("net") {

@@ -6,22 +6,22 @@
 // checks — plus object registration/deregistration (pchk.reg.obj /
 // pchk.drop.obj).
 //
-// Lookup path: each VCPU's last-hit cache, then the splay tree of the
-// address's region shard, then — only while an object spanning regions
-// exists — the wide tree.  The splay trees are the paper's structure and
-// the only store of record; the cache holds copies of positive answers and
-// is invalidated by generation whenever an object leaves the set.
+// Lookup path: each VCPU's last-hit cache, then the pool's splay tree.  The
+// splay tree is the paper's structure and the only store of record; the
+// cache holds copies of positive answers and is invalidated by generation
+// whenever an object leaves the set.
 //
 // Concurrency: pools are shared by every virtual CPU of an SMP guest.
-// Per-VCPU statistics and last-hit caches are owner-written.  The write
-// path is sharded by address region (shard.go): registrations and drops
-// take one region shard's lock under their CPU's slot of a brlock gate,
-// and the rare wide-object operations take the gate exclusively.  Checks
-// deliberately run unserialized against registration: a guest that races
-// an access against a free gets a racy verdict, exactly as it would on SMP
-// hardware; a guest whose accesses are ordered by its own locks (which the
-// SVM executes with host happens-before edges) always sees the current
-// object set.
+// Per-VCPU statistics and last-hit caches are owner-written.  The tree and
+// the largest-object watermark sit under one mutex per pool, which every
+// registration, drop and cache-missing lookup takes.  Checks deliberately
+// run unserialized against registration: a guest that races an access
+// against a free gets a racy verdict, exactly as it would on SMP hardware;
+// a guest whose accesses are ordered by its own locks (which the SVM
+// executes with host happens-before edges) always sees the current object
+// set.
+//
+// Lock order: mu, then traceMu (trace emission on cold paths only).
 package metapool
 
 import (
@@ -105,7 +105,7 @@ type hitCache struct {
 	r     [2]splay.Range
 }
 
-// perCPU is one VCPU's private pool state: its statistics shard and its
+// perCPU is one VCPU's private pool state: its statistics and its
 // last-hit cache.  Only the owning VCPU writes it; snapshots merge the
 // statistics of every VCPU.
 type perCPU struct {
@@ -126,18 +126,12 @@ type Pool struct {
 	// ElemSize is the object element size for TH pools (0 otherwise).
 	ElemSize uint64
 
-	// obj holds the narrow objects, sharded by address region (shard.go).
-	obj [numShards]objShard
-	// wide is the tree of objects spanning regions; wideCount lets the
-	// narrow paths skip wideMu entirely while no such object exists (the
-	// overwhelmingly common case — every real guest allocation is narrow).
-	wideMu    sync.Mutex
-	wide      splay.Tree
-	wideCount atomic.Uint64
-
-	// gate arbitrates narrow (shared) against wide (exclusive) write-path
-	// operations; the lookup path never touches it.
-	gate brGate
+	// mu guards tree and maxObj.
+	mu   sync.Mutex
+	tree splay.Tree
+	// maxObj is the largest object length ever registered: the redundancy
+	// that lets a lookup recognize grow-corruptions of a splay node.
+	maxObj uint64
 
 	// epoch is the object-set generation that invalidates the per-VCPU
 	// last-hit caches.
@@ -146,12 +140,12 @@ type Pool struct {
 	// and also absorbs out-of-range CPU numbers.
 	cpus []*perCPU
 	// NoCache disables the last-hit cache, forcing every lookup through
-	// the splay trees (the cache's differential oracle and the uncached
+	// the splay tree (the cache's differential oracle and the uncached
 	// benchmark configuration).
 	NoCache bool
 
 	// trace, when set, receives pool lifecycle events (cold paths only:
-	// registration conflicts and Reset — never the check hot path).
+	// quarantine — never the check hot path).
 	// traceMu serializes emission (Trace.Emit is not thread-safe).
 	trace   *telemetry.Trace
 	traceMu sync.Mutex
@@ -160,9 +154,6 @@ type Pool struct {
 	// (ClassSplay corrupts a node's metadata in place).  nil in
 	// production; the hook costs one pointer compare.
 	chaos *faultinject.Injector
-	// maxObj is the largest object length ever registered: the redundancy
-	// that lets a lookup recognize grow-corruptions of a splay node.
-	maxObj atomic.Uint64
 	// quarantined is set once check metadata fails validation; from then
 	// on every check fails closed with a MetadataCorruption violation.
 	quarantined atomic.Bool
@@ -199,7 +190,7 @@ func (p *Pool) cpu(cpu int) *perCPU {
 	return p.cpus[0]
 }
 
-// mergedStats sums the per-VCPU shards plus the pool-level write-path
+// mergedStats sums the per-VCPU statistics plus the pool-level write-path
 // counters into one view of the pool.
 func (p *Pool) mergedStats() Stats {
 	var s Stats
@@ -228,7 +219,7 @@ func (p *Pool) userRange(addr uint64) (splay.Range, bool) {
 }
 
 // findCPU looks up the object containing addr: cpu's last-hit cache, then
-// the trees.  CacheHits counts lookups the cache answered; CacheMisses
+// the tree.  CacheHits counts lookups the cache answered; CacheMisses
 // counts lookups that paid for a tree descent.
 func (p *Pool) findCPU(cpu int, addr uint64) (splay.Range, bool) {
 	if p.quarantined.Load() {
@@ -249,28 +240,13 @@ func (p *Pool) findCPU(cpu int, addr uint64) (splay.Range, bool) {
 	return r, ok
 }
 
-// treeFind looks addr up in its region shard's tree and, while wide
-// objects exist, in the wide tree.  With validate, a range failing
-// rangeValid quarantines the pool and reads as a miss.
+// treeFind looks addr up in the tree.  With validate, a range failing
+// rangeValid quarantines the pool and reads as a miss.  The filter runs
+// under mu, the lock that also guards maxObj.
 func (p *Pool) treeFind(addr uint64, validate bool) (splay.Range, bool) {
-	sh := &p.obj[shardIndex(addr)]
-	sh.mu.Lock()
-	r, ok := p.findIn(&sh.tree, addr, validate)
-	sh.mu.Unlock()
-	if ok || p.wideCount.Load() == 0 || validate && p.quarantined.Load() {
-		return r, ok
-	}
-	p.wideMu.Lock()
-	r, ok = p.findIn(&p.wide, addr, validate)
-	p.wideMu.Unlock()
-	return r, ok
-}
-
-// findIn runs one tree's Find; caller holds the tree's lock.  The validity
-// filter runs under that same lock, so a concurrent Reset (which clears
-// trees before zeroing maxObj) can never induce a spurious quarantine.
-func (p *Pool) findIn(t *splay.Tree, addr uint64, validate bool) (splay.Range, bool) {
-	r, ok := t.Find(addr)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	r, ok := p.tree.Find(addr)
 	if ok && validate && !p.rangeValid(r) {
 		// The checker's own metadata is damaged.  Fail closed: quarantine
 		// the pool rather than answer checks from corrupt state.
@@ -317,11 +293,11 @@ func (p *Pool) cacheInsert(c *perCPU, r splay.Range) {
 	}
 }
 
-// rangeValid is the plausibility filter on ranges coming back from a
+// rangeValid is the plausibility filter on ranges coming back from the
 // splay tree: a zero or wrapping length, or a length larger than any object
-// ever registered here, cannot be an intact registration.
+// ever registered here, cannot be an intact registration.  Caller holds mu.
 func (p *Pool) rangeValid(r splay.Range) bool {
-	return r.Len != 0 && r.Start+r.Len > r.Start && r.Len <= p.maxObj.Load()
+	return r.Len != 0 && r.Start+r.Len > r.Start && r.Len <= p.maxObj
 }
 
 // quarantine marks the pool's metadata as untrusted.  Idempotent; callable
@@ -355,44 +331,29 @@ func (p *Pool) corruptionErr(st *Stats, addr uint64) error {
 }
 
 // chaosPrep runs before every lookup while fault injection is armed: it
-// rolls the injection dice under the exclusive gate, so no mutator changes
-// tree membership while a victim is picked.  Chaos runs are cold by
-// construction.
+// rolls the injection dice under mu, so no mutator changes tree membership
+// while a victim is picked.  Chaos runs are cold by construction.
 func (p *Pool) chaosPrep() {
-	p.gate.lockAll()
+	p.mu.Lock()
 	if p.chaos.Should(faultinject.ClassSplay) {
 		p.corruptNode()
 	}
-	p.gate.unlockAll()
+	p.mu.Unlock()
 }
 
 // corruptNode is the ClassSplay injection payload: flip metadata in one
 // splay node in place, modeling a hardware fault striking the checker's own
 // state.  All three modes are fail-closed under rangeValid / lookup-miss
-// semantics — the point of the campaign is proving that.  Caller holds the
-// gate exclusively; the victim is picked uniformly across every shard tree
-// plus the wide tree (concurrent readers may reshape a tree but cannot
-// change membership, so the in-order rank is stable).
+// semantics — the point of the campaign is proving that.  Caller holds mu;
+// the victim is picked uniformly by in-order rank.
 func (p *Pool) corruptNode() {
-	var lens [numShards + 1]int
-	total := 0
-	for i := range p.obj {
-		sh := &p.obj[i]
-		sh.mu.Lock()
-		lens[i] = sh.tree.Len()
-		sh.mu.Unlock()
-		total += lens[i]
-	}
-	p.wideMu.Lock()
-	lens[numShards] = p.wide.Len()
-	p.wideMu.Unlock()
-	total += lens[numShards]
+	total := p.tree.Len()
 	if total == 0 {
 		return
 	}
 	k := int(p.chaos.Rand(uint64(total)))
 	mode := p.chaos.Rand(3)
-	payload := func(r *splay.Range) {
+	old, ok := p.tree.MutateNth(k, func(r *splay.Range) {
 		switch mode {
 		case 0:
 			r.Len = 0 // shrink to nothing: lookups miss, checks fail closed
@@ -401,30 +362,10 @@ func (p *Pool) corruptNode() {
 		case 2:
 			r.Start ^= 1 << (33 + p.chaos.Rand(20)) // teleport: lookups miss
 		}
-	}
-	var old splay.Range
-	var ok bool
-	hit := -1
-	for i := range p.obj {
-		if k < lens[i] {
-			sh := &p.obj[i]
-			sh.mu.Lock()
-			old, ok = sh.tree.MutateNth(k, payload)
-			sh.mu.Unlock()
-			hit = i
-			break
-		}
-		k -= lens[i]
-	}
-	if hit < 0 {
-		p.wideMu.Lock()
-		old, ok = p.wide.MutateNth(k, payload)
-		p.wideMu.Unlock()
-		hit = numShards
-	}
+	})
 	if ok {
-		p.chaos.Note("splay.find", "pool %s shard %d node %d was %v, mode %d",
-			p.Name, hit, k, old, mode)
+		p.chaos.Note("splay.find", "pool %s node %d was %v, mode %d",
+			p.Name, k, old, mode)
 		// Drop cached copies of the pre-corruption range: the fault model
 		// is a damaged node, not a damaged node plus a helpful cache.
 		p.invalidate()
@@ -433,29 +374,25 @@ func (p *Pool) corruptNode() {
 
 // invalidate bumps the object-set epoch, emptying every VCPU's last-hit
 // cache at its next lookup.  Called AFTER every removal from the object
-// set (drop, stale-stack eviction, node corruption, Reset) — a cached
-// range may be the one just removed.  Registrations never invalidate: the
-// caches hold only positive hits, and adding an object cannot stale a
-// positive.
+// set (drop, stale-stack eviction, node corruption) — a cached range may
+// be the one just removed.  Registrations never invalidate: the caches
+// hold only positive hits, and adding an object cannot stale a positive.
 //
-// The bump must follow the removal in program order.  A reader locks only
-// the owning shard: it loads the epoch, finds the object, and caches it
-// after unlocking.  If it found the object, its tree read preceded the
-// removal, so its epoch load preceded the post-removal bump and its cache
-// entry carries the pre-bump epoch — dead on arrival.  Bumping BEFORE the
-// removal leaves a window where a racing reader caches the doomed object
-// under the new epoch and then serves it indefinitely, turning one racy
-// lookup into wrong verdicts for later accesses the guest properly ordered
-// after the free.
+// The bump must follow the removal in program order.  A reader loads the
+// epoch, finds the object under mu, and caches it after unlocking.  If it
+// found the object, its tree read preceded the removal, so its epoch load
+// preceded the post-removal bump and its cache entry carries the pre-bump
+// epoch — dead on arrival.  Bumping BEFORE the removal leaves a window
+// where a racing reader caches the doomed object under the new epoch and
+// then serves it indefinitely, turning one racy lookup into wrong verdicts
+// for later accesses the guest properly ordered after the free.
 func (p *Pool) invalidate() { p.epoch.Add(1) }
 
 // growMaxObj raises the largest-ever-object watermark to at least n.
+// Caller holds mu.
 func (p *Pool) growMaxObj(n uint64) {
-	for {
-		cur := p.maxObj.Load()
-		if n <= cur || p.maxObj.CompareAndSwap(cur, n) {
-			return
-		}
+	if n > p.maxObj {
+		p.maxObj = n
 	}
 }
 
@@ -486,26 +423,40 @@ func (p *Pool) RegisterCPU(cpu int, addr, size uint64, tag uint32) error {
 	return p.register(cpu, splay.Range{Start: addr, Len: size, Tag: tag}, false)
 }
 
-// register inserts rg: narrow objects under cpu's gate slot into their
-// region shard, everything else under the exclusive gate.  stack selects
-// the stale-stack eviction protocol (RegisterStackCPU).
+// register inserts rg under mu.  stack selects the stale-stack eviction
+// protocol (RegisterStackCPU).
 func (p *Pool) register(cpu int, rg splay.Range, stack bool) error {
 	st := &p.cpu(cpu).st
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.growMaxObj(rg.Len)
-	if narrow(rg) {
-		g := p.gate.rlock(cpu)
-		err, retryWide := p.registerNarrow(st, rg, stack)
-		p.gate.runlock(g)
-		if !retryWide {
-			return err
+	return p.insertLocked(st, rg, stack)
+}
+
+// insertLocked inserts rg into the tree; caller holds mu.  When the tree
+// refuses it, the overlapping objects decide: stale stack frames under a
+// stack registration are all evicted, anything else is a conflict and
+// nothing is evicted.
+func (p *Pool) insertLocked(st *Stats, rg splay.Range, stack bool) error {
+	if !p.tree.Insert(rg) {
+		if rg.Start+rg.Len < rg.Start {
+			st.Violations++ // wraparound: no object can cover it
+			return p.conflictErr(rg, stack)
 		}
-		// The conflicting objects include stale wide stack frames:
-		// evicting them needs the exclusive path.
+		over := p.tree.OverlapRanges(rg.Start, rg.Len, overlapLimit(stack))
+		if !evictable(over, stack) {
+			st.Violations++
+			return p.conflictErr(rg, stack)
+		}
+		for _, old := range over {
+			p.tree.Remove(old.Start)
+		}
+		st.Dropped += uint64(len(over))
+		p.invalidate() // after the removals: an evicted frame may be cached
+		p.tree.Insert(rg)
 	}
-	p.gate.lockAll()
-	err := p.registerWide(st, rg, stack)
-	p.gate.unlockAll()
-	return err
+	st.Registered++
+	return nil
 }
 
 // overlapLimit is how many overlapping objects a registration must see to
@@ -529,79 +480,6 @@ func evictable(over []splay.Range, stack bool) bool {
 	return true
 }
 
-// registerNarrow inserts a narrow object under the shared gate: one wide
-// overlap probe (skipped while no wide object exists), then the owning
-// shard's tree.  Returns retryWide when stale wide stack frames must be
-// evicted first.
-func (p *Pool) registerNarrow(st *Stats, rg splay.Range, stack bool) (err error, retryWide bool) {
-	if p.wideCount.Load() != 0 {
-		p.wideMu.Lock()
-		over := p.wide.OverlapRanges(rg.Start, rg.Len, overlapLimit(stack))
-		p.wideMu.Unlock()
-		if len(over) > 0 {
-			if evictable(over, stack) {
-				return nil, true
-			}
-			st.Violations++
-			return p.conflictErr(rg, stack), false
-		}
-	}
-	sh := &p.obj[shardIndex(rg.Start)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if !sh.tree.Insert(rg) {
-		over := sh.tree.OverlapRanges(rg.Start, rg.Len, overlapLimit(stack))
-		if !evictable(over, stack) {
-			st.Violations++
-			return p.conflictErr(rg, stack), false
-		}
-		for _, old := range over {
-			sh.tree.Remove(old.Start)
-		}
-		st.Dropped += uint64(len(over))
-		p.invalidate() // after the removals: an evicted frame may be cached
-		sh.tree.Insert(rg)
-	}
-	st.Registered++
-	return nil, false
-}
-
-// registerWide inserts an object under the exclusive gate: wide objects,
-// and narrow registrations that must evict stale wide stack frames.
-func (p *Pool) registerWide(st *Stats, rg splay.Range, stack bool) error {
-	if rg.Start+rg.Len < rg.Start {
-		// Wraparound: the tree would reject it; classify as the
-		// registration conflict the seed path reported.
-		st.Violations++
-		return p.conflictErr(rg, stack)
-	}
-	over := p.overlapsLocked(rg, overlapLimit(stack))
-	if !evictable(over, stack) {
-		st.Violations++
-		return p.conflictErr(rg, stack)
-	}
-	if len(over) > 0 {
-		for _, old := range over {
-			p.removeObjectLocked(old)
-		}
-		st.Dropped += uint64(len(over))
-		p.invalidate() // after the removals: an evicted frame may be cached
-	}
-	if narrow(rg) {
-		sh := &p.obj[shardIndex(rg.Start)]
-		sh.mu.Lock()
-		sh.tree.Insert(rg)
-		sh.mu.Unlock()
-	} else {
-		p.wideMu.Lock()
-		p.wide.Insert(rg)
-		p.wideMu.Unlock()
-		p.wideCount.Add(1)
-	}
-	st.Registered++
-	return nil
-}
-
 func (p *Pool) conflictErr(rg splay.Range, stack bool) error {
 	kind := "object"
 	if stack {
@@ -617,10 +495,9 @@ const maxBatch = 4096
 
 // RegisterBatchCPU records n contiguous objects of esize bytes starting at
 // base — the slab-refill shape (sva.pool.regbatch).  Semantically
-// identical to n RegisterCPU calls; the fast path registers the whole
-// batch under a single shard-lock hold.  On a conflict at element k,
-// elements before k stay registered and the conflict is returned, exactly
-// as the per-object sequence would behave.
+// identical to n RegisterCPU calls, registered under one hold of mu.  On a
+// conflict at element k, elements before k stay registered and the
+// conflict is returned, exactly as the per-object sequence would behave.
 func (p *Pool) RegisterBatchCPU(cpu int, base, n, esize uint64) error {
 	if n == 0 || esize == 0 {
 		return nil
@@ -632,75 +509,29 @@ func (p *Pool) RegisterBatchCPU(cpu int, base, n, esize uint64) error {
 			Msg: fmt.Sprintf("batch of %d objects exceeds the %d-object bound", n, maxBatch)}
 	}
 	p.batched.Add(1)
-	total := n * esize
-	if total/esize == n && narrow(splay.Range{Start: base, Len: total}) && p.chaos == nil {
-		p.growMaxObj(esize)
-		g := p.gate.rlock(cpu)
-		if p.wideCount.Load() == 0 {
-			err := p.insertRun(st, base, n, esize)
-			p.gate.runlock(g)
-			return err
-		}
-		// Wide objects live: the element-at-a-time fallback re-acquires the
-		// gate slot per element, and sync.RWMutex forbids recursive RLock —
-		// a concurrent lockAll between the two acquisitions would deadlock.
-		// Release ours before entering it.
-		p.gate.runlock(g)
-	}
-	// Slow shape (wide batch, overflowing arithmetic, wide objects live, or
-	// chaos armed): element-at-a-time through the classic path.
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.growMaxObj(esize)
 	for i := uint64(0); i < n; i++ {
 		rg := splay.Range{Start: base + i*esize, Len: esize, Tag: TagHeap}
-		if err := p.register(cpu, rg, false); err != nil {
+		if err := p.insertLocked(st, rg, false); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// insertRun inserts a narrow batch into its shard under one lock hold.
-// Caller holds cpu's gate slot and has seen no wide object live.
-func (p *Pool) insertRun(st *Stats, base, n, esize uint64) error {
-	sh := &p.obj[shardIndex(base)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for i := uint64(0); i < n; i++ {
-		rg := splay.Range{Start: base + i*esize, Len: esize, Tag: TagHeap}
-		if !sh.tree.Insert(rg) {
-			st.Violations++
-			return p.conflictErr(rg, false)
-		}
-		st.Registered++
 	}
 	return nil
 }
 
 // DropCPU removes the object starting at addr (pchk.drop.obj).  Dropping a
 // pointer that is not the start of a live object is an illegal free
-// (guarantee T5: no double or illegal frees).  A narrow object leaves its
-// region shard under cpu's gate slot; only when wide objects exist does a
-// miss escalate to the exclusive gate.
+// (guarantee T5: no double or illegal frees).
 func (p *Pool) DropCPU(cpu int, addr uint64) error {
 	st := &p.cpu(cpu).st
-	g := p.gate.rlock(cpu)
-	sh := &p.obj[shardIndex(addr)]
-	sh.mu.Lock()
-	r, ok := sh.tree.FindStart(addr)
+	p.mu.Lock()
+	r, ok := p.tree.FindStart(addr)
 	if ok {
-		sh.tree.Remove(r.Start)
+		p.tree.Remove(r.Start)
 	}
-	sh.mu.Unlock()
-	p.gate.runlock(g)
-	if !ok && p.wideCount.Load() != 0 {
-		p.gate.lockAll()
-		p.wideMu.Lock()
-		if r, ok = p.wide.FindStart(addr); ok {
-			p.wide.Remove(r.Start)
-			p.wideCount.Add(^uint64(0))
-		}
-		p.wideMu.Unlock()
-		p.gate.unlockAll()
-	}
+	p.mu.Unlock()
 	if ok {
 		p.invalidate() // after the removal: the object may be cached
 		st.Dropped++
@@ -801,63 +632,17 @@ func (p *Pool) LoadStoreCheckCPU(cpu int, addr uint64) error {
 }
 
 // NoteElidedBoundsCPU records a bounds check the compiler proved redundant
-// at this site (the check itself does not run), charged to cpu's shard.
+// at this site (the check itself does not run), charged to cpu.
 func (p *Pool) NoteElidedBoundsCPU(cpu int) { p.cpu(cpu).st.ElidedBounds++ }
 
-// NoteElidedLSCPU records an elided load-store check, charged to cpu's
-// shard.
+// NoteElidedLSCPU records an elided load-store check, charged to cpu.
 func (p *Pool) NoteElidedLSCPU(cpu int) { p.cpu(cpu).st.ElidedLS++ }
 
 // NumObjects returns the live object count.
 func (p *Pool) NumObjects() int {
-	n := 0
-	for i := range p.obj {
-		sh := &p.obj[i]
-		sh.mu.Lock()
-		n += sh.tree.Len()
-		sh.mu.Unlock()
-	}
-	p.wideMu.Lock()
-	n += p.wide.Len()
-	p.wideMu.Unlock()
-	return n
-}
-
-// Reset drops all objects and VCPU 0's statistics (pool destruction).
-// Statistics shards of other VCPUs are owner-written and survive a reset;
-// merged views simply keep their history.
-//
-// The quarantine bit deliberately SURVIVES a reset: quarantine means the
-// pool's metadata failed validation, and a guest that destroys and
-// re-creates the pool (a rebooted kernel re-running its init path at the
-// same VA) must not launder the verdict — fail-closed state only clears
-// when the whole domain is rebuilt from the pristine image and the
-// supervisor re-applies its ledger (Registry.ApplyQuarantine).
-//
-// Ordering: trees clear under their shard locks before maxObj zeroes, so
-// a concurrent reader — whose validity filter runs under the same shard
-// lock as its find — can never pair a live range with a zeroed watermark
-// (no spurious quarantine from a reset race).
-func (p *Pool) Reset() {
-	p.gate.lockAll()
-	defer p.gate.unlockAll()
-	p.emitTrace(telemetry.EvPoolReset, []uint64{uint64(p.NumObjects())}, "")
-	for i := range p.obj {
-		sh := &p.obj[i]
-		sh.mu.Lock()
-		sh.tree.ClearRecycle()
-		sh.mu.Unlock()
-	}
-	p.wideMu.Lock()
-	p.wide.ClearRecycle()
-	p.wideMu.Unlock()
-	p.wideCount.Store(0)
-	// Invalidate after the structures are empty — a reader that cached an
-	// object mid-reset did so under the pre-bump epoch (see invalidate).
-	p.invalidate()
-	p.cpus[0].st = Stats{}
-	p.batched.Store(0)
-	p.maxObj.Store(0)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.tree.Len()
 }
 
 // Quarantine forces the pool into the fail-closed state (every check
@@ -866,39 +651,19 @@ func (p *Pool) Reset() {
 // validation failing during a check.
 func (p *Pool) Quarantine() { p.quarantined.Store(true) }
 
-// SplayLookups returns how many lookups reached the pool's splay trees
+// SplayLookups returns how many lookups reached the pool's splay tree
 // (last-hit-cache hits never do).
 func (p *Pool) SplayLookups() uint64 {
-	var n uint64
-	for i := range p.obj {
-		sh := &p.obj[i]
-		sh.mu.Lock()
-		n += sh.tree.Lookups
-		sh.mu.Unlock()
-	}
-	p.wideMu.Lock()
-	n += p.wide.Lookups
-	p.wideMu.Unlock()
-	return n
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.tree.Lookups
 }
 
-// splayDepth reads the deepest tree height across shards (snapshot gauge).
+// splayDepth reads the tree's height (snapshot gauge).
 func (p *Pool) splayDepth() int {
-	max := 0
-	for i := range p.obj {
-		sh := &p.obj[i]
-		sh.mu.Lock()
-		if d := sh.tree.Depth(); d > max {
-			max = d
-		}
-		sh.mu.Unlock()
-	}
-	p.wideMu.Lock()
-	if d := p.wide.Depth(); d > max {
-		max = d
-	}
-	p.wideMu.Unlock()
-	return max
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.tree.Depth()
 }
 
 // Registry is the VM's table of run-time metapools plus the indirect-call
@@ -908,11 +673,11 @@ type Registry struct {
 	// CallSets[i] is the set of legal function addresses for indirect
 	// call-check set i.  Populated at module-load time, read-only after.
 	CallSets []map[uint64]bool
-	// icShards counts indirect-call checks per VCPU at the registry level
-	// (call sets are not owned by any single pool); icShards[0] always
+	// icCPUs counts indirect-call checks per VCPU at the registry level
+	// (call sets are not owned by any single pool); icCPUs[0] always
 	// exists and also absorbs out-of-range CPU numbers.
-	icShards []*icStat
-	// nvcpu is the shard count applied to pools added after SetVCPUs.
+	icCPUs []*icStat
+	// nvcpu is the VCPU count applied to pools added after SetVCPUs.
 	nvcpu int
 	// noCache is inherited by pools added after SetCacheDisabled(true).
 	noCache bool
@@ -922,25 +687,25 @@ type Registry struct {
 	chaos *faultinject.Injector
 }
 
-// icStat is one VCPU's indirect-call counter shard.
+// icStat is one VCPU's indirect-call counters.
 type icStat struct {
 	Checks     uint64
 	Violations uint64
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{icShards: []*icStat{{}}} }
+func NewRegistry() *Registry { return &Registry{icCPUs: []*icStat{{}}} }
 
 // SetVCPUs sizes every pool's per-VCPU state, plus the registry's
-// indirect-call shards.  Must be called before the VCPUs start running;
+// per-VCPU indirect-call counters.  Must be called before the VCPUs start running;
 // pools added later inherit the count.
 func (r *Registry) SetVCPUs(n int) {
 	if n < 1 {
 		n = 1
 	}
 	r.nvcpu = n
-	for len(r.icShards) < n {
-		r.icShards = append(r.icShards, &icStat{})
+	for len(r.icCPUs) < n {
+		r.icCPUs = append(r.icCPUs, &icStat{})
 	}
 	for _, p := range r.Pools {
 		p.setVCPUs(n)
@@ -1038,9 +803,9 @@ func (r *Registry) AddCallSet(targets map[uint64]bool) int {
 // IndirectCallCheckCPU verifies that target is a legal callee for set id
 // (control-flow integrity, guarantee T1).
 func (r *Registry) IndirectCallCheckCPU(cpu, id int, target uint64) error {
-	sh := r.icShards[0]
-	if uint(cpu) < uint(len(r.icShards)) {
-		sh = r.icShards[cpu]
+	sh := r.icCPUs[0]
+	if uint(cpu) < uint(len(r.icCPUs)) {
+		sh = r.icCPUs[cpu]
 	}
 	sh.Checks++
 	if id < 0 || id >= len(r.CallSets) {
@@ -1056,16 +821,16 @@ func (r *Registry) IndirectCallCheckCPU(cpu, id int, target uint64) error {
 		Addr: target, Msg: "indirect call target not in compiler-computed callee set"}
 }
 
-// icTotals sums the registry-level indirect-call counters across shards.
+// icTotals sums the registry-level indirect-call counters across VCPUs.
 func (r *Registry) icTotals() (checks, viols uint64) {
-	for _, sh := range r.icShards {
+	for _, sh := range r.icCPUs {
 		checks += sh.Checks
 		viols += sh.Violations
 	}
 	return checks, viols
 }
 
-// TotalStats sums statistics across all pools (merging per-VCPU shards)
+// TotalStats sums statistics across all pools (merging per-VCPU statistics)
 // plus the registry-level indirect-call counters.
 func (r *Registry) TotalStats() Stats {
 	var s Stats
@@ -1099,8 +864,8 @@ type PoolSnapshot = telemetry.PoolStats
 type Snapshot = telemetry.CheckSnapshot
 
 // Snapshot returns the registry's current statistics, merging per-VCPU
-// shards.  During an SMP run the shards are live; snapshot after the VCPUs
-// join for exact totals.
+// counters.  During an SMP run they are live; snapshot after the VCPUs join
+// for exact totals.
 func (r *Registry) Snapshot() Snapshot {
 	ic, icv := r.icTotals()
 	s := Snapshot{
@@ -1131,7 +896,7 @@ func (r *Registry) Attach(reg *telemetry.Registry) {
 	})
 }
 
-// SetTrace routes pool lifecycle events (create/reset) into a telemetry
+// SetTrace routes pool lifecycle events (create, quarantine) into a telemetry
 // trace ring.  Pass nil to detach.  The check hot path is unaffected.
 func (r *Registry) SetTrace(t *telemetry.Trace) {
 	r.trace = t

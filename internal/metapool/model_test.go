@@ -6,9 +6,8 @@ import (
 	"sva/internal/splay"
 )
 
-// model is the metapool's specification, written independently of the
-// sharded implementation: one splay tree, no region shards, no wide tree,
-// no cache.  Its methods return the verdict a Pool must give for the same
+// model is the metapool's specification, written independently of Pool:
+// one splay tree, no lock, no last-hit cache, no per-VCPU state.  Its methods return the verdict a Pool must give for the same
 // operation — -1 for success, the ViolationKind otherwise — and apply the
 // same conflict and eviction rules:
 //
@@ -133,10 +132,15 @@ func (op modelOp) onModel(m *model) int {
 	}
 }
 
+// regionShift sets the 4 MiB region boundaries that FuzzPoolOps and the
+// oracle tests straddle on purpose: an object store partitioned by address
+// goes wrong exactly at such boundaries, so the tests keep crossing them.
+const regionShift = 22
+
 // decodeOp turns 4 fuzz bytes into an operation.  Addresses are squashed
 // into a 2 KiB window around one of two region boundaries, so operations
-// overlap constantly and objects crossing the boundary are wide; a few
-// encodings reach multi-region sizes and the top of the address space.
+// overlap constantly and some objects cross the boundary; a few encodings
+// reach multi-region sizes and the top of the address space.
 func decodeOp(b []byte) modelOp {
 	op := modelOp{kind: b[0] % 6, cpu: int(b[0]>>3) & 3}
 	boundary := uint64(1+b[1]&1) << regionShift

@@ -9,20 +9,15 @@ package report
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"sva/internal/apps"
 	"sva/internal/exploits"
 	"sva/internal/hbench"
-	"sva/internal/hw"
 	"sva/internal/ir"
 	"sva/internal/kernel"
-	"sva/internal/metapool"
 	"sva/internal/safety"
 	"sva/internal/svaops"
 	"sva/internal/telemetry"
@@ -373,193 +368,6 @@ func SMPTable(rows []SMPRow) string {
 		sb.WriteString("\n")
 	}
 	return sb.String()
-}
-
-// ConcurrentRegBench reports registration/drop throughput on one metapool
-// under concurrent writers in disjoint regions: the sharded write paths
-// against the pre-sharding single-mutex discipline.
-//
-// The primary rows are a deterministic virtual-time measurement.  A guest
-// loop of pchk.reg.obj/pchk.drop.obj pairs runs on one VCPU to measure the
-// real per-pair cycle cost; the cost table says how much of that charge is
-// the splay work the seed performed under its global pool mutex (costReg +
-// costDrop), so the seed path's aggregate throughput saturates at one pair
-// per critical section once enough writers contend, while the sharded
-// paths — whose writers in disjoint regions share no gate slot and no
-// shard tree — scale with the writer count.  That saturation model is the
-// standard one for a single lock and every input to it is a measured
-// virtual cycle, so the row is bit-identical run to run on any host.
-//
-// The wall-clock rows measure the same loop on host goroutines; the
-// single-lock row wraps every RegisterCPU/DropCPU call in one caller-side
-// mutex, the seed's discipline.  They are honest but host-bound: on a
-// single-core container the writers time-slice, so the ratio reflects only
-// per-op cost, and the numbers are noisy — which is why they are opt-in
-// (`sva-bench -wallclock`) and never recorded into the benchmark JSON.
-// With wallclock false the output is bit-identical run to run, preserving
-// the tables' determinism invariant.
-func ConcurrentRegBench(writers, opsPer int, wallclock bool) string {
-	var sb strings.Builder
-
-	// --- deterministic virtual-time model -------------------------------
-	mdl, err := RegBenchModel(writers)
-	fmt.Fprintf(&sb, "Concurrent registration: one pool, %d writer VCPUs, disjoint regions\n", writers)
-	if err != nil {
-		fmt.Fprintf(&sb, "virtual-time model unavailable: %v\n", err)
-	} else {
-		fmt.Fprintf(&sb, "virtual time (deterministic): reg+drop pair = %d cyc, critical section under the seed's pool mutex = %d cyc\n",
-			mdl.PairCycles, mdl.CritCycles)
-		fmt.Fprintf(&sb, "%-24s %10.1f pairs/Kcyc   (global lock saturated: 1 pair per %d cyc)\n",
-			"single-lock (seed path)", mdl.SingleLock*1000, mdl.CritCycles)
-		fmt.Fprintf(&sb, "%-24s %10.1f pairs/Kcyc   %5.2fx\n",
-			"sharded write paths", mdl.Sharded*1000, mdl.Speedup)
-	}
-
-	// --- host wall-clock (opt-in: nondeterministic) ---------------------
-	if !wallclock {
-		return sb.String()
-	}
-	run := func(single bool) float64 {
-		reg := metapool.NewRegistry()
-		reg.SetVCPUs(writers)
-		p := metapool.NewPool("regbench", false, true, 0)
-		reg.AddPool(p)
-		var mu sync.Locker = nopLocker{}
-		if single {
-			mu = new(sync.Mutex) // held around every op: the seed's discipline
-		}
-		var wg sync.WaitGroup
-		start := time.Now()
-		for w := 0; w < writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				base := uint64(w+1) << 24 // distinct regions per writer
-				for i := 0; i < opsPer; i++ {
-					a := base + uint64(i%1024)*4096
-					mu.Lock()
-					err := p.RegisterCPU(w, a, 256, 0)
-					mu.Unlock()
-					if err != nil {
-						panic(err)
-					}
-					mu.Lock()
-					err = p.DropCPU(w, a)
-					mu.Unlock()
-					if err != nil {
-						panic(err)
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		el := time.Since(start).Seconds()
-		return float64(2*writers*opsPer) / el / 1e6 // Mops/s
-	}
-	best := func(single bool) float64 {
-		v := 0.0
-		for rep := 0; rep < 3; rep++ {
-			if m := run(single); m > v {
-				v = m
-			}
-		}
-		return v
-	}
-	sharded := best(false)
-	locked := best(true)
-	sp := 0.0
-	if locked > 0 {
-		sp = sharded / locked
-	}
-	fmt.Fprintf(&sb, "host wall-clock (%d host CPUs, best of 3, %d goroutines x %d pairs; noisy, not in bench JSON)\n",
-		runtime.NumCPU(), writers, opsPer)
-	fmt.Fprintf(&sb, "%-24s %10.2f Mops/s\n", "single-lock (seed path)", locked)
-	fmt.Fprintf(&sb, "%-24s %10.2f Mops/s  %5.2fx\n", "sharded write paths", sharded, sp)
-	return sb.String()
-}
-
-// nopLocker is the sharded row's stand-in for the single-lock row's mutex.
-type nopLocker struct{}
-
-func (nopLocker) Lock()   {}
-func (nopLocker) Unlock() {}
-
-// RegBenchResult is the deterministic virtual-time half of the
-// concurrent-registration microbench: measured cycle costs and the
-// single-lock saturation model built on them.
-type RegBenchResult struct {
-	PairCycles uint64  // measured virtual cycles per reg+drop pair
-	CritCycles uint64  // the pair's splay work, held under the seed's global mutex
-	SingleLock float64 // modeled aggregate pairs/cycle, seed single-lock path
-	Sharded    float64 // modeled aggregate pairs/cycle, sharded write paths
-	Speedup    float64 // Sharded / SingleLock
-}
-
-// RegBenchModel measures the per-pair registration cost in virtual cycles
-// and applies the single-lock saturation model for `writers` concurrent
-// writer VCPUs in disjoint regions (see ConcurrentRegBench).
-func RegBenchModel(writers int) (RegBenchResult, error) {
-	const pairs = 4096
-	perPair, err := measureRegPairCycles(pairs)
-	if err != nil {
-		return RegBenchResult{}, err
-	}
-	crit := svaops.Cost(svaops.ObjRegister) + svaops.Cost(svaops.ObjDrop)
-	if perPair < crit {
-		perPair = crit // the charge model guarantees this; keep the ratio sane
-	}
-	n := float64(writers)
-	r := RegBenchResult{PairCycles: perPair, CritCycles: crit}
-	r.Sharded = n / float64(perPair)                    // each writer completes a pair every PairCycles
-	r.SingleLock = math.Min(r.Sharded, 1/float64(crit)) // the global lock admits 1 pair per critical section
-	r.Speedup = r.Sharded / r.SingleLock
-	return r, nil
-}
-
-// measureRegPairCycles runs a guest loop of `pairs` pchk.reg.obj +
-// pchk.drop.obj pairs (page-strided within one 4 MiB region, like a slab
-// allocator reusing a region) on a fresh single-VCPU safe VM and returns
-// the measured virtual cycles per pair.  The cycle charges are identical
-// under either locking discipline — virtual time cannot see host lock
-// contention, which is exactly why ConcurrentRegBench models the seed's
-// global lock analytically on top of this measurement.
-func measureRegPairCycles(pairs uint64) (uint64, error) {
-	m := ir.NewModule("regbench")
-	m.Metapools = append(m.Metapools, &ir.MetapoolDesc{Name: "MP0", Complete: true})
-	b := ir.NewBuilder(m)
-	b.NewFunc("reg_loop", ir.FuncOf(ir.I64, []*ir.Type{ir.I64, ir.I64}, false), "iters", "base")
-	b.For("i", ir.I64c(0), b.Param(0), ir.I64c(1), func(i ir.Value) {
-		off := b.Shl(b.And(i, ir.I64c(1023)), ir.I64c(12))
-		p := b.IntToPtr(b.Add(b.Param(1), off), svaops.BytePtr)
-		b.Call(svaops.Get(m, svaops.ObjRegister), ir.I32c(0), p, ir.I64c(256))
-		b.Call(svaops.Get(m, svaops.ObjDrop), ir.I32c(0), p)
-	})
-	b.Ret(ir.I64c(0))
-	b.Seal()
-	if errs := ir.VerifyModule(m); len(errs) != 0 {
-		return 0, fmt.Errorf("regbench module: %v", errs[0])
-	}
-	v := vm.New(hw.NewMachine(0, 64), vm.ConfigSafe)
-	if err := v.LoadModule(m, false); err != nil {
-		return 0, err
-	}
-	top, err := v.AllocKernelStack(64 * 1024)
-	if err != nil {
-		return 0, err
-	}
-	ex, err := v.NewExec(v.FuncByName("reg_loop"), []uint64{pairs, 1 << 24}, top, hw.PrivKernel)
-	if err != nil {
-		return 0, err
-	}
-	v.SetExec(ex)
-	c0 := v.Mach.CPU.Cycles
-	if _, err := v.Run(); err != nil {
-		return 0, err
-	}
-	if pairs == 0 {
-		pairs = 1
-	}
-	return (v.Mach.CPU.Cycles - c0) / pairs, nil
 }
 
 // --- check statistics (-table=checks) ---------------------------------------

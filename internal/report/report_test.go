@@ -176,41 +176,3 @@ func TestAPITableReport(t *testing.T) {
 	}
 }
 
-// TestRegBenchModel pins the concurrent-registration microbench's
-// deterministic half: the measured per-pair cycle cost is reproducible,
-// and the sharded write paths model out to at least 4x the single-lock
-// seed path at 8 writer VCPUs (the PR-10 acceptance bar).
-func TestRegBenchModel(t *testing.T) {
-	a, err := RegBenchModel(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RegBenchModel(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Errorf("model not deterministic: %+v vs %+v", a, b)
-	}
-	if a.PairCycles < a.CritCycles {
-		t.Errorf("pair cost %d below critical-section cost %d", a.PairCycles, a.CritCycles)
-	}
-	if a.Speedup < 4 {
-		t.Errorf("modeled speedup %.2fx at 8 writers, want >= 4x", a.Speedup)
-	}
-	s := ConcurrentRegBench(2, 200, false)
-	for _, want := range []string{"virtual time (deterministic)", "single-lock (seed path)", "sharded write paths"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("microbench output missing %q:\n%s", want, s)
-		}
-	}
-	if strings.Contains(s, "host wall-clock") {
-		t.Errorf("wall-clock rows printed without opt-in; default output must stay deterministic:\n%s", s)
-	}
-	if sw := ConcurrentRegBench(2, 200, true); !strings.Contains(sw, "host wall-clock") {
-		t.Errorf("wallclock=true output missing the host wall-clock rows:\n%s", sw)
-	}
-	if ConcurrentRegBench(2, 200, false) != s {
-		t.Error("default microbench output not byte-identical across runs")
-	}
-}

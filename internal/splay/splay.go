@@ -137,11 +137,12 @@ func (t *Tree) Insert(r Range) bool {
 	}
 	t.splay(r.Start)
 	// After splaying, root is the closest range.  Check overlap with root
-	// and with the neighbor on the other side.
+	// and with the neighbor on the other side; only then take a node, so a
+	// refused insert leaves the free list intact.
 	if rangesOverlap(t.root.r, r) {
 		return false
 	}
-	n := t.newNode(r)
+	var n *node
 	if r.Start < t.root.r.Start {
 		// Check the rightmost node of root.left for overlap.
 		if t.root.left != nil {
@@ -153,6 +154,7 @@ func (t *Tree) Insert(r Range) bool {
 				return false
 			}
 		}
+		n = t.newNode(r)
 		n.left = t.root.left
 		n.right = t.root
 		t.root.left = nil
@@ -166,6 +168,7 @@ func (t *Tree) Insert(r Range) bool {
 				return false
 			}
 		}
+		n = t.newNode(r)
 		n.right = t.root.right
 		n.left = t.root
 		t.root.right = nil
@@ -225,26 +228,6 @@ func (t *Tree) Remove(addr uint64) (Range, bool) {
 	return removed, true
 }
 
-// FindOverlap returns some range overlapping [start, start+length).  It is
-// used on the registration-conflict path only, so a linear fallback is
-// acceptable.
-func (t *Tree) FindOverlap(start, length uint64) (Range, bool) {
-	if r, ok := t.Find(start); ok {
-		return r, true
-	}
-	var hit Range
-	found := false
-	t.Walk(func(r Range) bool {
-		if r.Start < start+length && start < r.End() {
-			hit = r
-			found = true
-			return false
-		}
-		return r.Start < start+length
-	})
-	return hit, found
-}
-
 // OverlapRanges returns up to max ranges overlapping [start, start+length),
 // in ascending start order (max 0: all of them), WITHOUT splaying.  The
 // metapool's registration-conflict and stale-stack eviction paths use it,
@@ -285,25 +268,6 @@ func (t *Tree) OverlapRanges(start, length uint64, max int) []Range {
 	return out
 }
 
-// Walk visits every range in ascending start order.  The visit function
-// returns false to stop early.
-func (t *Tree) Walk(visit func(Range) bool) {
-	var rec func(n *node) bool
-	rec = func(n *node) bool {
-		if n == nil {
-			return true
-		}
-		if !rec(n.left) {
-			return false
-		}
-		if !visit(n.r) {
-			return false
-		}
-		return rec(n.right)
-	}
-	rec(t.root)
-}
-
 // MutateNth applies f to the k-th range in ascending start order,
 // mutating the node in place and returning the pre-mutation range.  It
 // deliberately bypasses every structural invariant Insert maintains: it is
@@ -336,35 +300,6 @@ func (t *Tree) MutateNth(k int, f func(*Range)) (Range, bool) {
 	f(&hit.r)
 	return old, true
 }
-
-// Clear removes all ranges.
-func (t *Tree) Clear() {
-	t.root = nil
-	t.size = 0
-}
-
-// ClearRecycle removes all ranges and returns every node to the free list.
-// Pool resets use it so a guest that tears down and re-creates a pool
-// (microreboot, pool_destroy/pool_create cycles) reuses the old tree's
-// nodes instead of re-paying the allocation cost of growing it back.
-func (t *Tree) ClearRecycle() {
-	var rec func(n *node)
-	rec = func(n *node) {
-		if n == nil {
-			return
-		}
-		l, r := n.left, n.right
-		t.freeNode(n)
-		rec(l)
-		rec(r)
-	}
-	rec(t.root)
-	t.root = nil
-	t.size = 0
-}
-
-// Overlaps reports whether a and b share at least one address.
-func (a Range) Overlaps(b Range) bool { return rangesOverlap(a, b) }
 
 // Depth returns the tree's current height (0 for an empty tree).  Splaying
 // reshapes the tree on every lookup, so this is a point-in-time gauge for

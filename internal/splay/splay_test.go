@@ -111,40 +111,47 @@ func TestFindStart(t *testing.T) {
 	}
 }
 
-func TestWalkOrdered(t *testing.T) {
-	var tr Tree
-	starts := []uint64{500, 100, 300, 200, 400}
-	for _, s := range starts {
-		tr.Insert(Range{Start: s, Len: 10})
-	}
-	var got []uint64
-	tr.Walk(func(r Range) bool {
-		got = append(got, r.Start)
-		return true
-	})
-	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
-		t.Errorf("Walk order = %v", got)
-	}
-	if len(got) != 5 {
-		t.Errorf("Walk visited %d ranges", len(got))
-	}
-	// Early stop.
+// freeLen counts the recycled nodes on the free list.
+func (t *Tree) freeLen() int {
 	n := 0
-	tr.Walk(func(Range) bool { n++; return n < 2 })
-	if n != 2 {
-		t.Errorf("early stop visited %d", n)
+	for f := t.free; f != nil; f = f.left {
+		n++
 	}
+	return n
 }
 
-func TestClear(t *testing.T) {
+// TestRefusedInsertKeepsFreeNode: an Insert refused by the neighbour
+// overlap check must not consume a recycled node, so a refused insert
+// followed by an insert/remove cycle (the metapool's stale-stack eviction
+// shape) runs without touching the host allocator.
+func TestRefusedInsertKeepsFreeNode(t *testing.T) {
 	var tr Tree
-	tr.Insert(Range{Start: 1, Len: 1})
-	tr.Clear()
-	if tr.Len() != 0 {
-		t.Error("Clear did not empty the tree")
+	tr.Insert(Range{Start: 100, Len: 16})
+	tr.Insert(Range{Start: 200, Len: 8})
+	tr.Insert(Range{Start: 300, Len: 8})
+	tr.Remove(300)
+	if got := tr.freeLen(); got != 1 {
+		t.Fatalf("free list holds %d nodes after one remove, want 1", got)
 	}
-	if _, ok := tr.Find(1); ok {
-		t.Error("Find succeeded after Clear")
+	// Splaying 116 leaves [100,116) at the root, so the refusal comes from
+	// the right neighbour [200,208).
+	if tr.Insert(Range{Start: 116, Len: 90}) {
+		t.Fatal("insert overlapping the right neighbour accepted")
+	}
+	if got := tr.freeLen(); got != 1 {
+		t.Fatalf("free list holds %d nodes after a refused insert, want 1", got)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if tr.Insert(Range{Start: 116, Len: 90}) {
+			t.Fatal("insert overlapping the right neighbour accepted")
+		}
+		if !tr.Insert(Range{Start: 400, Len: 8}) {
+			t.Fatal("insert of a free range refused")
+		}
+		tr.Remove(400)
+	})
+	if allocs != 0 {
+		t.Errorf("refused insert + insert/remove cycle allocates %v times per run, want 0", allocs)
 	}
 }
 
@@ -160,6 +167,15 @@ func (m refModel) find(addr uint64) (Range, bool) {
 	return Range{}, false
 }
 
+func (m refModel) findStart(addr uint64) (Range, bool) {
+	for _, r := range m {
+		if r.Start == addr {
+			return r, true
+		}
+	}
+	return Range{}, false
+}
+
 func (m refModel) overlaps(r Range) bool {
 	for _, x := range m {
 		if rangesOverlap(x, r) {
@@ -169,19 +185,49 @@ func (m refModel) overlaps(r Range) bool {
 	return false
 }
 
+// overlapRanges is OverlapRanges' specification: every range sharing an
+// address with [start, start+length) — a wrapping end clamps to the top of
+// the address space — in ascending start order, cut to the first max
+// (max 0: all of them).
+func (m refModel) overlapRanges(start, length uint64, max int) []Range {
+	end := start + length
+	if end < start {
+		end = ^uint64(0)
+	}
+	var out []Range
+	for _, x := range m {
+		if x.Start < end && start < x.End() {
+			out = append(out, x)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	if max > 0 && len(out) > max {
+		out = out[:max]
+	}
+	return out
+}
+
 // TestQuickAgainstReference drives random operation sequences against the
-// splay tree and the reference model and checks they agree.
+// splay tree and the reference model and checks they agree.  A few
+// addresses sit at the top of the address space, so inserts and overlap
+// probes there wrap past 2^64.
 func TestQuickAgainstReference(t *testing.T) {
 	err := quick.Check(func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
+		addr := func() uint64 {
+			if rng.Intn(8) == 0 {
+				return ^uint64(0) - uint64(rng.Intn(64))
+			}
+			return uint64(rng.Intn(1100))
+		}
 		var tr Tree
 		var ref refModel
 		for op := 0; op < 300; op++ {
-			switch rng.Intn(4) {
+			switch rng.Intn(6) {
 			case 0, 1: // insert
-				r := Range{Start: uint64(rng.Intn(1000)), Len: uint64(1 + rng.Intn(20))}
+				r := Range{Start: addr(), Len: uint64(1 + rng.Intn(20))}
 				got := tr.Insert(r)
-				want := !ref.overlaps(r) && r.Len > 0
+				want := !ref.overlaps(r) && r.End() > r.Start
 				if got != want {
 					t.Logf("seed %d: Insert(%v) = %v, want %v", seed, r, got, want)
 					return false
@@ -190,19 +236,19 @@ func TestQuickAgainstReference(t *testing.T) {
 					ref = append(ref, r)
 				}
 			case 2: // find
-				addr := uint64(rng.Intn(1100))
-				gr, gok := tr.Find(addr)
-				wr, wok := ref.find(addr)
+				a := addr()
+				gr, gok := tr.Find(a)
+				wr, wok := ref.find(a)
 				if gok != wok || (gok && gr != wr) {
-					t.Logf("seed %d: Find(%d) = %v,%v want %v,%v", seed, addr, gr, gok, wr, wok)
+					t.Logf("seed %d: Find(%d) = %v,%v want %v,%v", seed, a, gr, gok, wr, wok)
 					return false
 				}
 			case 3: // remove
-				addr := uint64(rng.Intn(1100))
-				gr, gok := tr.Remove(addr)
-				wr, wok := ref.find(addr)
+				a := addr()
+				gr, gok := tr.Remove(a)
+				wr, wok := ref.find(a)
 				if gok != wok || (gok && gr != wr) {
-					t.Logf("seed %d: Remove(%d) = %v,%v want %v,%v", seed, addr, gr, gok, wr, wok)
+					t.Logf("seed %d: Remove(%d) = %v,%v want %v,%v", seed, a, gr, gok, wr, wok)
 					return false
 				}
 				if wok {
@@ -212,6 +258,41 @@ func TestQuickAgainstReference(t *testing.T) {
 							break
 						}
 					}
+				}
+			case 4: // find by start: interior addresses must miss
+				a := addr()
+				if rng.Intn(2) == 0 && len(ref) > 0 {
+					a = ref[rng.Intn(len(ref))].Start
+				}
+				gr, gok := tr.FindStart(a)
+				wr, wok := ref.findStart(a)
+				if gok != wok || (gok && gr != wr) {
+					t.Logf("seed %d: FindStart(%d) = %v,%v want %v,%v", seed, a, gr, gok, wr, wok)
+					return false
+				}
+			case 5: // overlap probe, possibly wrapping, with max 0..3
+				start := addr()
+				length := uint64(1 + rng.Intn(200))
+				if rng.Intn(4) == 0 {
+					length = ^uint64(0) - uint64(rng.Intn(2000)) // end wraps
+				}
+				max := rng.Intn(4)
+				lk := tr.Lookups
+				got := tr.OverlapRanges(start, length, max)
+				want := ref.overlapRanges(start, length, max)
+				if len(got) != len(want) {
+					t.Logf("seed %d: OverlapRanges(%d,%d,%d) = %v want %v", seed, start, length, max, got, want)
+					return false
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Logf("seed %d: OverlapRanges(%d,%d,%d) = %v want %v", seed, start, length, max, got, want)
+						return false
+					}
+				}
+				if tr.Lookups != lk {
+					t.Logf("seed %d: OverlapRanges counted a lookup", seed)
+					return false
 				}
 			}
 			if tr.Len() != len(ref) {

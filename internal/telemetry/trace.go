@@ -23,8 +23,6 @@ const (
 	EvMMU EventKind = "mmu"
 	// EvPoolCreate: a metapool was registered.
 	EvPoolCreate EventKind = "pool.create"
-	// EvPoolReset: a metapool was destroyed/reset.
-	EvPoolReset EventKind = "pool.reset"
 	// EvOops: a guest fault was absorbed by the EFAULT oops unwind
 	// (Args[0] = faulting PC when known; Err = fault description).
 	EvOops EventKind = "oops"

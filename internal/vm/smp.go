@@ -26,8 +26,7 @@ import (
 //     holder only evaluates constants and inspects IR).
 
 // MaxVCPUs bounds EnableSMP.  The guest kernel sizes its per-CPU arrays
-// (current_task, sched_target) to match, and the metapool brlock gate's
-// slot array is sized to it (metapool.gateSlots).
+// (current_task, sched_target) to match.
 const MaxVCPUs = 32
 
 // smpShared is the state every virtual CPU of one machine shares.
